@@ -17,7 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .channel import CdModel
 from .dense import (
@@ -43,7 +43,7 @@ from .protocols_core import (
     halving_tradeoff_election,
     pairing_election,
 )
-from .runtime import BoundFactory, ProtocolConfig, RunReport
+from .runtime import ProtocolConfig, RunReport
 from .tradeoff import NoLeader, choose_params, partition_tradeoff_election
 
 PROTOCOLS = (
@@ -75,6 +75,14 @@ AGG_HEADER = (
 )
 CHECK_HEADER = "check,protocol,N,k,t,result,witness"
 ATTEMPT_HEADER = "run,attempt,b,space,success,energy_max,rounds"
+
+# Every output table is a list of records: dicts from the columns of its
+# header to string cells, written as CSV lines and as JSON objects.
+Record = Dict[str, str]
+
+
+def _record(header: str, *cells: str) -> Record:
+    return dict(zip(header.split(","), cells, strict=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,8 +247,9 @@ def _tradeoff_params(args, subsets: Sequence[Sequence[int]]):
 def run_experiment(args):
     """Execute the experiment described by parsed args.
 
-    Returns (csv rows, aggregate rows, [(transcript name, text)], attempt
-    rows); all four deterministic functions of the arguments."""
+    Returns (csv records, aggregate records, [(transcript name, text)],
+    attempt records); all four deterministic functions of the arguments.
+    Transcripts are serialized only for --emit-transcripts."""
     model = _model_for(args)
     subsets = generate_subsets(args)
     params = _tradeoff_params(args, subsets) if args.protocol == "tradeoff" \
@@ -252,7 +261,8 @@ def run_experiment(args):
             report, b_col, k_col = _run_one(args, model, devices, params)
         except NoLeader as exc:
             report, b_col, k_col = exc.report, str(params.b), str(params.K)
-        row = (
+        row = _record(
+            CSV_HEADER,
             args.protocol,
             model.value,
             str(args.N),
@@ -267,24 +277,27 @@ def run_experiment(args):
         )
         entries.append((row, report))
 
-    entries.sort(key=lambda e: e[0])
-    rows = [",".join(row) for row, _ in entries]
+    entries.sort(key=lambda e: tuple(e[0].values()))
+    rows = [row for row, _ in entries]
+    reports = [report for _, report in entries]
 
     transcripts = []
-    for idx, (row, report) in enumerate(entries):
-        name = f"{args.protocol}_{model.value}_N{args.N}_run{idx:05d}.txt"
-        transcripts.append((name, report.transcript.serialize()))
+    if args.emit_transcripts:
+        for idx, report in enumerate(reports):
+            name = f"{args.protocol}_{model.value}_N{args.N}_run{idx:05d}.txt"
+            transcripts.append((name, report.transcript.serialize()))
 
-    attempt_rows = []
-    for idx, (_, report) in enumerate(entries):
-        for a in report.attempts or ():
-            attempt_rows.append(",".join((
-                str(idx), str(a.index), str(a.b), str(a.space),
-                str(a.success).lower(), str(a.energy_max), str(a.rounds),
-            )))
+    attempt_rows = [
+        _record(
+            ATTEMPT_HEADER, str(idx), str(a.index), str(a.b), str(a.space),
+            str(a.success).lower(), str(a.energy_max), str(a.rounds),
+        )
+        for idx, report in enumerate(reports)
+        for a in report.attempts or ()
+    ]
 
-    reports = [r for _, r in entries]
-    agg = ",".join((
+    agg = _record(
+        AGG_HEADER,
         args.protocol,
         model.value,
         str(args.N),
@@ -295,70 +308,80 @@ def run_experiment(args):
         f"{sum(r.ledger.max_energy for r in reports) / len(reports):.4f}",
         str(all(r.strict_success for r in reports)).lower(),
         str(all(r.easy_success for r in reports)).lower(),
-    ))
+    )
     return rows, [agg], transcripts, attempt_rows
 
 
 def _checker_factories(args):
-    out = []
     N = args.N
     k = args.k if args.k is not None else ceil_log2(max(N, 2))
-    out.append(("binary_search", BoundFactory(BinarySearchElectionProgram),
-                ProtocolConfig(model=CdModel.STRONG_CD, N=N)))
-    out.append(("halving", BoundFactory(HalvingTradeoffProgram),
-                ProtocolConfig(model=CdModel.STRONG_CD, N=N, k=k)))
-    out.append(("pairing", BoundFactory(PairingElectionProgram),
-                ProtocolConfig(model=CdModel.STRONG_CD, N=N)))
-    return out
+    return [
+        ("binary_search", BinarySearchElectionProgram,
+         ProtocolConfig(model=CdModel.STRONG_CD, N=N)),
+        ("halving", HalvingTradeoffProgram,
+         ProtocolConfig(model=CdModel.STRONG_CD, N=N, k=k)),
+        ("pairing", PairingElectionProgram,
+         ProtocolConfig(model=CdModel.STRONG_CD, N=N)),
+    ]
 
 
-def run_checks(args) -> List[str]:
+def run_checks(args) -> List[Record]:
     rows = []
     for name, factory, config in _checker_factories(args):
         t = factory.schedule_length(config)
         pair = uniqueness_check(factory, config)
-        rows.append(",".join((
-            "uniqueness", name, str(config.N), "", str(t),
+        rows.append(_record(
+            CHECK_HEADER, "uniqueness", name, str(config.N), "", str(t),
             "ok" if pair is None else "violation",
             "" if pair is None else f"{pair.id_a}|{pair.id_b}",
-        )))
+        ))
         seqs = [canonical_sequence(factory, i, config, style="strong")
                 for i in range(1, config.N + 1)]
         k_meas = max(len(s) - s.count("I") for s in seqs)
         budget = sequence_budget(t, k_meas)
-        rows.append(",".join((
-            "counting", name, str(config.N), str(k_meas), str(t),
+        rows.append(_record(
+            CHECK_HEADER, "counting", name, str(config.N), str(k_meas), str(t),
             "ok" if config.N <= budget else "violation", str(budget),
-        )))
+        ))
         if t <= 20:
             m = matching_count(seqs, k_meas)
             need = -(-config.N // (1 << min(k_meas, t)))
-            rows.append(",".join((
-                "matching", name, str(config.N), str(k_meas), str(t),
-                "ok" if m >= need else "violation", str(m),
-            )))
+            rows.append(_record(
+                CHECK_HEADER, "matching", name, str(config.N), str(k_meas),
+                str(t), "ok" if m >= need else "violation", str(m),
+            ))
     # feedback-tree exploration on the binary search election only: the
     # other programs branch on message payloads, not just collision/silence
-    factory = BoundFactory(BinarySearchElectionProgram)
+    factory = BinarySearchElectionProgram
     config = ProtocolConfig(model=CdModel.STRONG_CD, N=args.N)
     budget = factory.schedule_length(config)
     count = potential_active_slots(factory, 1, config, budget)
-    rows.append(",".join((
-        "potential_active_slots", "binary_search", str(args.N),
+    rows.append(_record(
+        CHECK_HEADER, "potential_active_slots", "binary_search", str(args.N),
         str(budget), str(budget),
         "ok" if count <= 1 << budget else "violation",
         str(count),
-    )))
+    ))
     return rows
 
 
-def _write_lines(path: Optional[str], lines: Iterable[str]) -> None:
+def _write_table(path: Optional[str], header: str,
+                 records: Iterable[Record]) -> None:
+    """Header plus one CSV line per record, to `path` or stdout (None)."""
+    columns = header.split(",")
+    lines = [header] + [",".join(r[c] for c in columns) for r in records]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -383,13 +406,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.checks:
             rows = run_checks(args)
-            _write_lines(args.out, [CHECK_HEADER] + rows)
+            _write_table(args.out, CHECK_HEADER, rows)
             if args.json_out:
-                payload = [dict(zip(CHECK_HEADER.split(","), r.split(",")))
-                           for r in rows]
-                with open(args.json_out, "w") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                _write_json(args.json_out, rows)
             return 0
 
         rows, aggs, transcripts, attempt_rows = run_experiment(args)
@@ -397,35 +416,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out is None:
-        _write_lines(None, [CSV_HEADER] + rows)
-        _write_lines(None, [AGG_HEADER] + aggs)
-        if attempt_rows:
-            _write_lines(None, [ATTEMPT_HEADER] + attempt_rows)
-    else:
-        _write_lines(args.out, [CSV_HEADER] + rows)
-        _write_lines(args.out + ".agg.csv", [AGG_HEADER] + aggs)
-        if attempt_rows:
-            _write_lines(args.out + ".attempts.csv",
-                         [ATTEMPT_HEADER] + attempt_rows)
+    def sibling(suffix: str) -> Optional[str]:
+        return None if args.out is None else args.out + suffix
+
+    _write_table(args.out, CSV_HEADER, rows)
+    _write_table(sibling(".agg.csv"), AGG_HEADER, aggs)
+    if attempt_rows:
+        _write_table(sibling(".attempts.csv"), ATTEMPT_HEADER, attempt_rows)
     if args.emit_transcripts:
         os.makedirs(args.emit_transcripts, exist_ok=True)
         for name, text in transcripts:
             with open(os.path.join(args.emit_transcripts, name), "w") as fh:
                 fh.write(text)
     if args.json_out:
-        payload = {
-            "runs": [dict(zip(CSV_HEADER.split(","), r.split(",")))
-                     for r in rows],
-            "aggregates": [dict(zip(AGG_HEADER.split(","), a.split(",")))
-                           for a in aggs],
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, {"runs": rows, "aggregates": aggs})
 
     if args.assert_success:
-        bad = sum(1 for r in rows if r.split(",")[8] == "false")
+        bad = sum(1 for r in rows if r["strict"] == "false")
         if bad:
             print(f"{bad} run(s) missed strict success", file=sys.stderr)
             return 1

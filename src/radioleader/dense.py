@@ -31,13 +31,12 @@ its owner self-elects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .channel import LISTEN, CdModel, transmit
 from .protocols_core import (
     ceil_div,
     ceil_log2,
-    offset,
     pairing_level_len,
     pairing_level_phase,
 )
@@ -50,9 +49,6 @@ from .runtime import (
     execute,
     run_programs,
 )
-
-StateLog = Callable[[int, Optional[int], Optional[int]], None]
-
 
 def dense_blocks(space: int, b: int) -> List[Tuple[int, int]]:
     return [(lo, min(space, lo + b - 1)) for lo in range(1, space + 1, b)]
@@ -86,8 +82,9 @@ def census_phase_len(block_size: int) -> int:
     return 0 if block_size <= 1 else 2 * (block_size - 1) + 1
 
 
-def census_phase(pos: int, ident: int, block_size: int):
-    """Learn the ascending-id membership of one block.
+def census_phase(pos: int, ident: int, block_size: int, base: int = 0):
+    """Learn the ascending-id membership of one block, in slots starting at
+    round `base`.
 
     `pos` is this device's position within the block (1-based), `ident` the
     id it reports.  Returns (members, index, size): the full ascending tuple
@@ -97,7 +94,7 @@ def census_phase(pos: int, ident: int, block_size: int):
     comp = (pos, pos)
     members = [ident]
     is_rep = True
-    slot = 0
+    slot = base
     for left_lo, left_hi, right_lo, right_hi in census_merges(block_size):
         if is_rep and comp == (left_lo, left_hi):
             yield (slot, transmit(tuple(members)))
@@ -113,7 +110,7 @@ def census_phase(pos: int, ident: int, block_size: int):
             yield (slot + 1, transmit(tuple(members)))
             comp = (left_lo, right_hi)
         slot += 2
-    broadcast = 2 * (block_size - 1)
+    broadcast = base + 2 * (block_size - 1)
     if is_rep:
         yield (broadcast, transmit(tuple(members)))
         full = tuple(members)
@@ -180,9 +177,9 @@ def census(
 # the two block walks
 
 
-def dense_simple_phase(cid: int, space: int, b: int, log: Optional[StateLog] = None):
-    """Label chain of the two-slots-per-id walk.  Returns the final rank
-    (label minus block count) or None.
+def dense_simple_phase(cid: int, space: int, b: int, base: int = 0):
+    """Label chain of the two-slots-per-id walk, starting at round `base`.
+    Returns the final rank (label minus block count) or None.
 
     A device is involved in at most three blocks: the one holding its id,
     the one whose index equals its label (head duty), and the one before
@@ -197,9 +194,9 @@ def dense_simple_phase(cid: int, space: int, b: int, log: Optional[StateLog] = N
         nonlocal r, s
         lo = (i - 1) * b + 1
         hi = min(space, lo + b - 1)
-        base = (i - 1) * span
+        first = base + (i - 1) * span  # first round of block i
         for j in range(lo, hi + 1):
-            slot_a = base + 2 * (j - lo)
+            slot_a = first + 2 * (j - lo)
             if cid == j:
                 fb = yield (slot_a, LISTEN)
                 if fb.kind == "received":
@@ -213,15 +210,13 @@ def dense_simple_phase(cid: int, space: int, b: int, log: Optional[StateLog] = N
                 fb = yield (slot_a + 1, LISTEN)
                 if fb.kind == "received":
                     s += 1
-        handoff = base + 2 * (hi - lo + 1)
+        handoff = first + 2 * (hi - lo + 1)
         if r == i:
             yield (handoff, transmit(s))
         elif r == i + 1:
             fb = yield (handoff, LISTEN)
             if fb.kind == "received":
                 s = fb.payload
-        if log is not None:
-            log(i, r, s)
 
     home = (cid - 1) // b + 1
     yield from visit(home)
@@ -239,8 +234,9 @@ def dense_simple_phase_len(space: int, b: int) -> int:
     return (nblocks - 1) * (2 * b + 1) + 2 * last + 1
 
 
-def dense_improved_phase(cid: int, space: int, b: int, log: Optional[StateLog] = None):
-    """Census-driven walk producing the same labels as dense_simple_phase.
+def dense_improved_phase(cid: int, space: int, b: int, base: int = 0):
+    """Census-driven walk producing the same labels as dense_simple_phase,
+    starting at round `base`.
 
     Visits the same three blocks at most as the simple walk (home, head
     duty, handoff listen); a standing head still runs the exchange of an
@@ -255,14 +251,12 @@ def dense_improved_phase(cid: int, space: int, b: int, log: Optional[StateLog] =
         lo = (i - 1) * b + 1
         hi = min(space, lo + b - 1)
         width = hi - lo + 1
-        base = (i - 1) * span
+        first = base + (i - 1) * span  # first round of block i
         in_block = i == home
         index = size = None
         if in_block:
-            _, index, size = yield from offset(
-                census_phase(cid - lo + 1, cid, width), base
-            )
-        ex = base + census_phase_len(width)
+            _, index, size = yield from census_phase(cid - lo + 1, cid, width, first)
+        ex = first + census_phase_len(width)
         if r == i:
             # standing head: offer the counter, then absorb the block size
             yield (ex, transmit(s))
@@ -291,8 +285,6 @@ def dense_improved_phase(cid: int, space: int, b: int, log: Optional[StateLog] =
             fb = yield (handoff, LISTEN)
             if fb.kind == "received":
                 s = fb.payload
-        if log is not None:
-            log(i, r, s)
 
     home = (cid - 1) // b + 1
     yield from visit(home)
@@ -313,24 +305,15 @@ def dense_improved_phase_len(space: int, b: int) -> int:
 
 
 class _DenseProgram(DeviceProgram):
-    phase = staticmethod(dense_simple_phase)
-    phase_len = staticmethod(dense_simple_phase_len)
+    """One block walk (`phase`, `phase_len`; set by subclasses) and the
+    announcement of its rank-1 device."""
 
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
         return cls.phase_len(config.N, config.b) + 1
 
-    def __init__(self, device_id, config):
-        super().__init__(device_id, config)
-        self.state_log: List[Tuple[int, Optional[int], Optional[int]]] = []
-
     def run(self):
-        rank = yield from self.phase(
-            self.device_id,
-            self.config.N,
-            self.config.b,
-            log=lambda i, r, s: self.state_log.append((i, r, s)),
-        )
+        rank = yield from self.phase(self.device_id, self.config.N, self.config.b)
         self.rank = rank
         yield from self.announce(
             self.phase_len(self.config.N, self.config.b), rank == 1
@@ -451,9 +434,7 @@ class ExponentialSearchProgram(DeviceProgram):
         for att in attempts:
             if done or not live:
                 continue
-            rank = yield from offset(
-                dense_improved_phase(cid, att.space, att.b), att.base
-            )
+            rank = yield from dense_improved_phase(cid, att.space, att.b, att.base)
             if rank == 1:
                 yield (att.test_slot, transmit(self.device_id))
                 self.won = True
@@ -465,8 +446,8 @@ class ExponentialSearchProgram(DeviceProgram):
                     self.leader_id = fb.payload
                     done = True
             if not done:
-                live, cid = yield from offset(
-                    pairing_level_phase(cid, att.space), att.reduce_base
+                live, cid = yield from pairing_level_phase(
+                    cid, att.space, att.reduce_base
                 )
         if not done:
             if live:

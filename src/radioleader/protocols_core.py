@@ -20,9 +20,10 @@ Every election ends with one announcement slot: the winner transmits its id
 and everyone else listens.  Devices that already know the outcome idle; a
 run's schedule length never depends on which devices exist.
 
-Phase generators yield (relative_round, action) and are composed with
-`offset`; schedule arithmetic lives next to each phase so programs and
-their `schedule_length` never disagree.
+Phase generators take the round their slots start at (`base`), yield
+(round, action) and are chained with `yield from`; schedule arithmetic
+lives next to each phase so programs and their `schedule_length` never
+disagree.
 """
 
 from __future__ import annotations
@@ -52,17 +53,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def offset(gen, base: int):
-    """Shift a phase generator's relative rounds by `base`."""
-    try:
-        item = next(gen)
-        while True:
-            fb = yield (base + item[0], item[1])
-            item = gen.send(fb)
-    except StopIteration as stop:
-        return stop.value
-
-
 # ---------------------------------------------------------------------------
 # pairing tournament
 
@@ -80,55 +70,42 @@ def pairing_phase_len(space: int, compact: bool = False) -> int:
     return total
 
 
-def pairing_level_phase(cid: int, space: int):
-    """One knockout level on id space [1..space] (one slot per id pair,
-    including a slot for an unpaired trailing odd id).  Returns
-    (survived, new_id); new_id lives in [1..ceil(space/2)]."""
+def pairing_level_phase(cid: int, space: int, base: int = 0, compact: bool = False):
+    """One knockout level on id space [1..space], its slots starting at round
+    `base`: one slot per id pair, plus one for an unpaired trailing odd id
+    unless `compact`, in which case that id survives without transmitting.
+    Returns (survived, new_id); new_id lives in [1..ceil(space/2)]."""
     pair = (cid + 1) // 2
     if cid % 2 == 1:
-        yield (pair - 1, transmit(DUMMY))
+        if pair <= pairing_level_len(space, compact):
+            yield (base + pair - 1, transmit(DUMMY))
         return True, pair
-    fb = yield (pair - 1, LISTEN)
-    if fb.kind == "received":
-        return False, pair
-    return True, pair
+    fb = yield (base + pair - 1, LISTEN)
+    return fb.kind != "received", pair
 
 
-def pairing_tournament_phase(cid: int, space: int, compact: bool = False):
+def pairing_tournament_phase(cid: int, space: int, base: int = 0, compact: bool = False):
     """Knockout levels until the id space is a single id.  Returns True iff
     this device survived throughout (then its final id is 1).
 
-    With compact=True a level schedules floor(space/2) slots: the unpaired
-    trailing odd id survives without transmitting.  The compact layout is
-    what inner elections embed; the standalone election keeps the one-slot-
-    per-pair layout."""
-    base = 0
-    alive = True
+    The compact layout (see pairing_level_phase) is what inner elections
+    embed; the standalone election keeps the one-slot-per-pair layout."""
     while space > 1:
-        nslots = pairing_level_len(space, compact)
-        if alive:
-            pair = (cid + 1) // 2
-            if cid % 2 == 1:
-                if pair <= nslots:
-                    yield (base + pair - 1, transmit(DUMMY))
-                cid = pair
-            else:
-                fb = yield (base + pair - 1, LISTEN)
-                if fb.kind == "received":
-                    alive = False
-                else:
-                    cid = pair
-        base += nslots
+        alive, cid = yield from pairing_level_phase(cid, space, base, compact)
+        if not alive:
+            return False
+        base += pairing_level_len(space, compact)
         space = (space + 1) // 2
-    return alive
+    return True
 
 
 # ---------------------------------------------------------------------------
 # interval halving
 
 
-def interval_halving_phase(pos: int, space: int, probes: int):
-    """Run `probes` halving slots on the live interval of [1..space].
+def interval_halving_phase(pos: int, space: int, probes: int, base: int = 0):
+    """Run `probes` halving slots on the live interval of [1..space],
+    starting at round `base`.
 
     Each slot: ids in the lower ceil(size/2) of the interval transmit, the
     rest of the interval listens.  Hearing anything means the lower half is
@@ -146,10 +123,10 @@ def interval_halving_phase(pos: int, space: int, probes: int):
             continue
         mid = lo + (size + 1) // 2 - 1
         if pos <= mid:
-            yield (t, transmit(DUMMY))
+            yield (base + t, transmit(DUMMY))
             hi = mid
         else:
-            fb = yield (t, LISTEN)
+            fb = yield (base + t, LISTEN)
             if fb.kind == "silence":
                 lo = mid + 1
             else:
@@ -213,12 +190,12 @@ class HalvingTradeoffProgram(DeviceProgram):
         won = False
         if alive:
             if inner == "binary_search":
-                won, _, _ = yield from offset(
-                    interval_halving_phase(pos, residue, ceil_log2(residue)), probes
+                won, _, _ = yield from interval_halving_phase(
+                    pos, residue, ceil_log2(residue), probes
                 )
             else:
-                won = yield from offset(
-                    pairing_tournament_phase(pos, residue, compact=True), probes
+                won = yield from pairing_tournament_phase(
+                    pos, residue, probes, compact=True
                 )
         yield from self.announce(probes + inner_len, won)
 

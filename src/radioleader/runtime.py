@@ -56,19 +56,13 @@ class ProtocolConfig:
 
     model: CdModel
     N: int
-    known_n: Optional[int] = None
-    known_upper_n: Optional[int] = None
     k: Optional[int] = None
-    epsilon: Optional[float] = None
     b: Optional[int] = None
-    seed: int = 0
     inner_election: Optional[str] = None
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("id space must have size >= 1")
-        if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,8 +285,11 @@ def run_programs(
         ):
             raise ScheduleOverrun(f"device {dev} yielded malformed slot {item!r}")
         rnd, action = item
-        if action.kind == "idle":
-            raise ScheduleOverrun(f"device {dev} yielded an explicit idle slot")
+        if action.kind not in ("listen", "transmit"):
+            raise ScheduleOverrun(
+                f"device {dev} yielded action kind {action.kind!r}; "
+                "only 'listen' and 'transmit' may be offered"
+            )
         if rnd <= prev_round or rnd >= total_rounds:
             raise ScheduleOverrun(
                 f"device {dev} requested round {rnd} outside its schedule "

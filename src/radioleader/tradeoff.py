@@ -25,8 +25,9 @@ from typing import Optional
 from .channel import LISTEN, CdModel, transmit
 from .partitions import PartitionFamily, generate_family
 from .protocols_core import (
+    HalvingTradeoffProgram,
     ceil_log2,
-    offset,
+    halving_tradeoff_election,
     pairing_phase_len,
     pairing_tournament_phase,
 )
@@ -35,7 +36,8 @@ from .runtime import (
     DeviceProgram,
     ProtocolConfig,
     RunReport,
-    run_programs,
+    execute,
+    run_programs,  # noqa: F401  (kept importable here: perfbench wraps this copy)
 )
 
 
@@ -51,11 +53,6 @@ class NoLeader(RuntimeError):
         self.report = report
 
 
-# constants used for the coarse time/energy predictions reported to callers
-PREDICT_TIME_CONST = 40
-PREDICT_ENERGY_CONST = 40
-
-
 @dataclass(frozen=True)
 class TradeoffParams:
     b: int
@@ -63,9 +60,6 @@ class TradeoffParams:
     epsilon_tilde: float
     case: int
     family: PartitionFamily
-    t_pred: float
-    e_pred: float
-    inner_election: str = "pairing"
 
 
 def _integer_kth_root_ceiling(N: int, k: int) -> int:
@@ -131,18 +125,8 @@ def choose_params(
         )
     if family.N != N or family.b != b:
         raise InvalidParams("supplied family does not match the chosen (N, b)")
-
-    log_b_n_space = max(1.0, math.log(max(N, 2)) / math.log(b))
-    t_pred = PREDICT_TIME_CONST * b * log_b_n_space
-    e_pred = PREDICT_ENERGY_CONST * (log_b_n_space + math.log2(b))
     return TradeoffParams(
-        b=b,
-        K=family.K,
-        epsilon_tilde=epsilon,
-        case=case,
-        family=family,
-        t_pred=t_pred,
-        e_pred=e_pred,
+        b=b, K=family.K, epsilon_tilde=epsilon, case=case, family=family
     )
 
 
@@ -173,8 +157,8 @@ class PartitionTradeoffProgram(DeviceProgram):
             marked = fb.kind == "received" and fb.payload == self.device_id
             winner = False
             if marked:
-                winner = yield from offset(
-                    pairing_tournament_phase(my_part, b, compact=True), base + b
+                winner = yield from pairing_tournament_phase(
+                    my_part, b, base + b, compact=True
                 )
             announce_slot = base + b + inner_len
             if winner:
@@ -210,11 +194,7 @@ def partition_tradeoff_election(
         )
     config = ProtocolConfig(model=model, N=family.N, b=params.b)
     factory = BoundFactory(PartitionTradeoffProgram, family=family)
-    report, _ = run_programs(factory, ids, config)
-    if check_replay:
-        replay, _ = run_programs(factory, ids, config)
-        if replay.transcript_hash != report.transcript_hash:
-            raise AssertionError("partition trade-off replay diverged")
+    report = execute(factory, ids, config, check_replay=check_replay)
     if not report.strict_success:
         raise NoLeader(
             "no partition isolated a device; the family is not good for this subset",
@@ -233,8 +213,6 @@ def strong_cd_tradeoff_election(
 ) -> RunReport:
     """Dispatch between interval halving and the partition trade-off under
     strong_cd, picking whichever has the shorter schedule."""
-    from .protocols_core import HalvingTradeoffProgram, halving_tradeoff_election
-
     params = choose_params(N, n, k, epsilon, seed=seed)
     partition_len = PartitionTradeoffProgram.schedule_length(None, params.family)
     halving_len = HalvingTradeoffProgram.schedule_length(

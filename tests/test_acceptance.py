@@ -73,7 +73,6 @@ def test_criterion_1_exhaustive_strict_success():
         fam = generate_family(N, b_part, 0.5, n_max=N)
         params = TradeoffParams(
             b=b_part, K=fam.K, epsilon_tilde=0.5, case=2, family=fam,
-            t_pred=float(fam.K * 2 * b_part), e_pred=float(2 * fam.K),
         )
         for V in nonempty_subsets(N):
             lo = min(V)
@@ -244,7 +243,6 @@ def test_criterion_7_sequence_level_checks():
     fam = generate_family(16, 4, 0.5, n_max=2)
     params16 = TradeoffParams(
         b=4, K=fam.K, epsilon_tilde=0.5, case=2, family=fam,
-        t_pred=float(fam.K * 8), e_pred=float(2 * fam.K),
     )
     measured = []
     full = list(range(1, N + 1))

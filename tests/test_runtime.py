@@ -1,8 +1,21 @@
+import hashlib
 import itertools
+from functools import partial
 
 import pytest
 
 from radioleader.channel import Action, CdModel, resolve_slot
+from radioleader.dense import (
+    dense_improved_election,
+    dense_simple_election,
+    exponential_search_election,
+)
+from radioleader.partitions import Certificate, Partition, PartitionFamily
+from radioleader.protocols_core import (
+    binary_search_election,
+    halving_tradeoff_election,
+    pairing_election,
+)
 from radioleader.runtime import (
     BoundFactory,
     DeviceProgram,
@@ -17,6 +30,7 @@ from radioleader.runtime import (
     execute,
     run_programs,
 )
+from radioleader.tradeoff import NoLeader, choose_params, partition_tradeoff_election
 
 NO = CdModel.NO_CD
 
@@ -67,8 +81,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(model=NO, N=0)
     with pytest.raises(ValueError):
-        ProtocolConfig(model=NO, N=4, epsilon=1.5)
-    with pytest.raises(ValueError):
         execute(make_script({}), [], cfg(4))
     with pytest.raises(ValueError):
         execute(make_script({}), [5], cfg(4))
@@ -89,9 +101,12 @@ def test_schedule_overrun_non_increasing():
 
 
 def test_explicit_idle_yield_rejected():
-    prog = make_script({1: [(0, Action("idle"))]}, length=2)
-    with pytest.raises(ScheduleOverrun):
-        execute(prog, [1], cfg(4))
+    # only listen / transmit may be offered; a typo fails at the offer,
+    # naming the device and the kind, not later inside the hash
+    for kind in ("idle", "tranmsit"):
+        prog = make_script({1: [(0, Action(kind, 1))]}, length=2)
+        with pytest.raises(ScheduleOverrun, match=f"device 1 .*'{kind}'"):
+            execute(prog, [1], cfg(4))
 
 
 def test_replay_check_catches_run_to_run_state():
@@ -274,3 +289,83 @@ def test_run_programs_returns_program_objects():
     assert set(programs) == {1}
     assert programs[1].device_id == 1
     assert report.leader == 1
+
+
+# --- golden transcripts -----------------------------------------------------
+
+GOLDEN_IDS = {
+    1: ([1],),
+    5: ([1], [5], [2, 4], [1, 2, 3, 4, 5]),
+    16: ([16], [3, 11], [2, 3, 5, 7, 11, 13], list(range(1, 17))),
+    33: ([33], [1, 33], [4, 9, 16, 25], list(range(2, 34, 2)), list(range(1, 34))),
+}
+# (N, k) points where choose_params picks b = 4 for n = 2
+GOLDEN_TRADEOFF_K = {5: 2, 16: 4, 33: 3}
+
+
+def _golden_family(N):
+    """Three fixed, unverified 4-part partitions of [1..N]."""
+    partitions = tuple(
+        Partition(b=4, part_of=tuple((x * 7 + j * x * x) % 11 % 4 + 1
+                                     for x in range(1, N + 1)))
+        for j in range(3)
+    )
+    return PartitionFamily(
+        N=N, b=4, K=3, epsilon_tilde=0.5, n_max=N, seed=0, c_const=8,
+        partitions=partitions, certificate=Certificate("unverified"),
+    )
+
+
+def _golden_runs():
+    """(name, driver call) over every protocol x each model it admits."""
+    for N, id_sets in GOLDEN_IDS.items():
+        for ids in id_sets:
+            for m in CdModel:
+                yield f"pairing {m.value}", partial(pairing_election, ids, N, model=m)
+                yield f"exponential {m.value}", \
+                    partial(exponential_search_election, ids, N, model=m)
+                for b in (1, 2, 4, 7):
+                    yield f"dense_simple {m.value} b={b}", \
+                        partial(dense_simple_election, ids, N, b, model=m)
+                    yield f"dense_improved {m.value} b={b}", \
+                        partial(dense_improved_election, ids, N, b, model=m)
+            for m in (CdModel.STRONG_CD, CdModel.RECEIVER_CD):
+                yield f"binary_search {m.value}", \
+                    partial(binary_search_election, ids, N, model=m)
+            for k in (1, 2, 3):
+                for inner in ("binary_search", "pairing"):
+                    yield f"halving k={k} {inner}", partial(
+                        halving_tradeoff_election, ids, N, k, inner_election=inner)
+            if N in GOLDEN_TRADEOFF_K:
+                params = choose_params(N, 2, GOLDEN_TRADEOFF_K[N], 0.5,
+                                       family=_golden_family(N))
+                for m in (CdModel.STRONG_CD, CdModel.SENDER_CD):
+                    yield f"tradeoff {m.value}", \
+                        partial(partition_tradeoff_election, ids, params, model=m)
+
+
+def test_golden_transcripts():
+    """One sha256 over the serialized transcripts, headers, leaders and rank
+    maps of a fixed run matrix.  It hashes the serialized text rather than
+    Transcript.hash64, so the hash format can change without touching it; a
+    change of this literal is a change of simulated behaviour."""
+    digest = hashlib.sha256()
+    runs = 0
+    for name, run in _golden_runs():
+        try:
+            report = run()
+        except NoLeader as exc:
+            report = exc.report
+        t = report.transcript
+        ids = ",".join(str(i) for i in t.device_ids)
+        ranks = ",".join(f"{d}:{v.rank}" for d, v in sorted(report.verdicts.items())
+                         if v.rank is not None)
+        digest.update(
+            f"# {name}\n{t.model.value} {t.N} {t.rounds} {ids}\n"
+            f"leader={report.leader} ranks={ranks}\n{t.serialize()}".encode()
+        )
+        runs += 1
+    assert runs == 698
+    assert digest.hexdigest() == (
+        "08309c3d0886572b1e069a36608b5e15ecfb73c9bb7605ef48d3ee2e9afd9164"
+    )

@@ -6,6 +6,7 @@ import pytest
 from radioleader.channel import CdModel
 from radioleader.partitions import Certificate, Partition, PartitionFamily, generate_family
 from radioleader.protocols_core import ceil_log2, pairing_phase_len
+from radioleader.runtime import NonDeterminism
 from radioleader.tradeoff import (
     InvalidParams,
     NoLeader,
@@ -35,7 +36,6 @@ def test_choose_params_small_point():
     p = choose_params(16, 2, 4, 0.5)
     assert (p.case, p.b, p.K) == (2, 4, 32)
     assert p.family.certificate.token() == "exhaustive:2"
-    assert p.t_pred > 0 and p.e_pred > 0
 
 
 def test_choose_params_case_one():
@@ -155,8 +155,7 @@ def test_bad_family_raises_no_leader():
         N=8, b=4, K=2, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
         partitions=(lump, lump), certificate=Certificate("unverified"),
     )
-    params = TradeoffParams(b=4, K=2, epsilon_tilde=0.5, case=2, family=fam,
-                            t_pred=1.0, e_pred=1.0)
+    params = TradeoffParams(b=4, K=2, epsilon_tilde=0.5, case=2, family=fam)
     with pytest.raises(NoLeader) as exc:
         partition_tradeoff_election([2, 5], params)
     report = exc.value.report
@@ -170,6 +169,30 @@ def test_bad_family_raises_no_leader():
 def test_replay_check_passes():
     params = choose_params(16, 2, 4, 0.5, family=small_family())
     partition_tradeoff_election([4, 9], params, check_replay=True)
+
+
+class ShiftingPartition:
+    """A partition whose part() answers differently on every call."""
+
+    def __init__(self, b):
+        self.b = b
+        self.calls = itertools.count()
+
+    def part(self, ident):
+        return next(self.calls) % self.b + 1
+
+
+def test_replay_check_catches_a_shifting_partition():
+    fam = small_family()
+    shifty = PartitionFamily(
+        N=fam.N, b=fam.b, K=fam.K, epsilon_tilde=0.5, n_max=fam.n_max, seed=0,
+        c_const=8, partitions=(ShiftingPartition(fam.b),) * fam.K,
+        certificate=Certificate("unverified"),
+    )
+    params = TradeoffParams(b=fam.b, K=fam.K, epsilon_tilde=0.5, case=2,
+                            family=shifty)
+    with pytest.raises(NonDeterminism):
+        partition_tradeoff_election([4, 9], params, check_replay=True)
 
 
 def test_marked_devices_really_are_alone():

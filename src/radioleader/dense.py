@@ -19,7 +19,10 @@ Two variants build the same labelling:
 The census is a binary merge tournament over the block: representatives of
 adjacent sub-ranges meet in two slots (left transmits its member list, then
 the right side answers with the merged list so the left knows it may
-retire); the champion broadcasts the full ascending-id list.
+retire); the champion broadcasts the full ascending-id list.  A device
+meets at most one merge per level, so its census costs O(log b) slots; it
+computes those merge slots itself, in O(log b) time and memory besides the
+member list it carries, instead of walking all b - 1 merges.
 
 exponential_search_election needs no density promise at all: it tries the
 improved walk with rapidly growing block widths, tests for success in one
@@ -30,7 +33,9 @@ its owner self-elects.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .channel import LISTEN, CdModel, transmit
@@ -61,9 +66,11 @@ def dense_blocks(space: int, b: int) -> List[Tuple[int, int]]:
 def census_merges(block_size: int) -> List[Tuple[int, int, int, int]]:
     """Merge schedule of the binary tournament over positions 1..block_size.
 
-    Entries are (left_lo, left_hi, right_lo, right_hi) in slot order; merges
-    whose right side would fall wholly outside the block are skipped, so the
-    list always has block_size - 1 entries."""
+    Entries are (left_lo, left_hi, right_lo, right_hi) in slot order, merge i
+    taking slots 2i and 2i + 1; merges whose right side would fall wholly
+    outside the block are skipped, so the list always has block_size - 1
+    entries.  This is the reference schedule: census_phase derives one
+    device's part of it without building it."""
     merges = []
     size = 1
     while size < block_size:
@@ -88,32 +95,37 @@ def census_phase(pos: int, ident: int, block_size: int, base: int = 0):
 
     `pos` is this device's position within the block (1-based), `ident` the
     id it reports.  Returns (members, index, size): the full ascending tuple
-    of present ids, this device's 1-based index in it, and its length."""
+    of present ids, this device's 1-based index in it, and its length.
+
+    A device takes part in at most one merge per level of census_merges and
+    computes those merge slots directly: O(log b) slots, and O(log b) time
+    and memory besides the member list, never the whole schedule."""
     if block_size <= 1:
         return (ident,), 1, 1
-    comp = (pos, pos)
-    members = [ident]
+    members = (ident,)
     is_rep = True
-    slot = base
-    for left_lo, left_hi, right_lo, right_hi in census_merges(block_size):
-        if is_rep and comp == (left_lo, left_hi):
-            yield (slot, transmit(tuple(members)))
+    first = 0  # merges of the levels before this one
+    size = 1
+    while size < block_size:
+        q = (pos - 1) // size  # this device's range at this level
+        slot = base + 2 * (first + q // 2)
+        if q % 2:
+            fb = yield (slot, LISTEN)
+            if fb.kind == "received":
+                members = fb.payload + members
+            yield (slot + 1, transmit(members))
+        elif (q + 1) * size < block_size:
+            yield (slot, transmit(members))
             fb = yield (slot + 1, LISTEN)
             if fb.kind == "received":
                 is_rep = False  # right side occupied; its rep carries on
-            else:
-                comp = (left_lo, right_hi)
-        elif is_rep and comp == (right_lo, right_hi):
-            fb = yield (slot, LISTEN)
-            if fb.kind == "received":
-                members = list(fb.payload) + members
-            yield (slot + 1, transmit(tuple(members)))
-            comp = (left_lo, right_hi)
-        slot += 2
+                break
+        first += (block_size - 1 - size) // (2 * size) + 1
+        size *= 2
     broadcast = base + 2 * (block_size - 1)
     if is_rep:
-        yield (broadcast, transmit(tuple(members)))
-        full = tuple(members)
+        yield (broadcast, transmit(members))
+        full = members
     else:
         fb = yield (broadcast, LISTEN)
         full = tuple(fb.payload)
@@ -403,8 +415,12 @@ def _attempt_block_width(model: CdModel, attempt: int, space: int) -> int:
     return min(space, 1 << exponent)
 
 
-def exponential_plan(N: int, model: CdModel) -> Tuple[List[ExpAttempt], int]:
-    """Attempt layout plus the round of the final self-election slot."""
+@lru_cache(maxsize=256)
+def exponential_plan(N: int, model: CdModel) -> Tuple[Tuple[ExpAttempt, ...], int]:
+    """Attempt layout plus the round of the final self-election slot.
+
+    Computed once per (N, model) and shared by every device of a run, so
+    the attempts come back as a tuple that no caller can change."""
     attempts = []
     space = N
     base = 0
@@ -417,7 +433,7 @@ def exponential_plan(N: int, model: CdModel) -> Tuple[List[ExpAttempt], int]:
         base = att.end
         space = (space + 1) // 2
         i += 1
-    return attempts, base
+    return tuple(attempts), base
 
 
 class ExponentialSearchProgram(DeviceProgram):
@@ -472,27 +488,31 @@ class AttemptSummary:
 
 
 def _attempt_summaries(report: RunReport) -> Tuple[AttemptSummary, ...]:
+    """Per-attempt success, rounds and energy peak, in one pass over the
+    events: attempts tile the rounds from 0, so an event's attempt is the
+    first one ending after its round."""
     attempts, _ = exponential_plan(report.N, report.model)
-    summaries = []
-    for att in attempts:
-        counts: Dict[int, int] = {}
-        success = False
-        for rnd, dev, action, _ in report.transcript.events:
-            if att.base <= rnd < att.end and action.kind != "idle":
-                counts[dev] = counts.get(dev, 0) + 1
-            if rnd == att.test_slot and action.kind == "transmit":
-                success = True
-        summaries.append(
-            AttemptSummary(
-                index=att.index,
-                space=att.space,
-                b=att.b,
-                success=success,
-                rounds=att.end - att.base,
-                energy_max=max(counts.values()) if counts else 0,
-            )
+    ends = [att.end for att in attempts]
+    counts: List[Dict[int, int]] = [{} for _ in attempts]
+    success = [False] * len(attempts)
+    for rnd, dev, action, _ in report.transcript.events:
+        i = bisect_right(ends, rnd)
+        if i == len(attempts):
+            continue  # the final self-election slot
+        counts[i][dev] = counts[i].get(dev, 0) + 1
+        if rnd == attempts[i].test_slot and action.kind == "transmit":
+            success[i] = True
+    return tuple(
+        AttemptSummary(
+            index=att.index,
+            space=att.space,
+            b=att.b,
+            success=ok,
+            rounds=att.end - att.base,
+            energy_max=max(c.values()) if c else 0,
         )
-    return tuple(summaries)
+        for att, c, ok in zip(attempts, counts, success)
+    )
 
 
 def exponential_search_election(

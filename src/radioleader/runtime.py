@@ -18,9 +18,10 @@ scale writing them out would dwarf everything else.
 Energy is the number of non-idle slots per device; idling is free.
 
 The transcript hash is a 64-bit FNV-1a fold, absorbed in this exact order:
-the header line ``model N rounds id1,id2,...`` followed by each serialized
-event line, every line terminated by a newline.  Two runs agree on the hash
-iff they agree on the header and the full event sequence.
+the header line ``model N rounds id1,id2,...`` followed by the serialized
+event lines (exactly the text of `Transcript.serialize`), every line
+terminated by a newline.  Two runs agree on the hash iff they agree on the
+header and the full event sequence.
 """
 
 from __future__ import annotations
@@ -148,6 +149,15 @@ def _feedback_text(fb: Feedback) -> str:
 _ACTION_TAG = {"idle": "I", "listen": "L", "transmit": "T"}
 
 
+def _event_lines(events: List[Event]) -> str:
+    """The event lines of `Transcript.serialize`, each ending in a newline."""
+    return "".join(
+        f"{rnd}\t{dev}\t{_ACTION_TAG[action.kind]}\t"
+        f"{_payload_text(action.payload)}\t{_feedback_text(fb)}\n"
+        for rnd, dev, action, fb in events
+    )
+
+
 @dataclass
 class Transcript:
     """Ordered non-idle events of one run plus the static frame around them."""
@@ -162,32 +172,14 @@ class Transcript:
         """One line per non-idle (round, device) event, tab-separated:
         round, id, action tag (L/T), payload, feedback.  Idle pairs are
         implicit and carry payload '-' / feedback '-'."""
-        lines = []
-        for rnd, dev, action, fb in self.events:
-            lines.append(
-                f"{rnd}\t{dev}\t{_ACTION_TAG[action.kind]}\t"
-                f"{_payload_text(action.payload)}\t{_feedback_text(fb)}"
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _event_lines(self.events)
 
     def hash64(self) -> int:
-        h = 0xCBF29CE484222325
-        prime = 0x100000001B3
-        mask = (1 << 64) - 1
-
-        def absorb(text: str):
-            nonlocal h
-            for byte in text.encode("ascii"):
-                h ^= byte
-                h = (h * prime) & mask
-
         ids = ",".join(str(i) for i in self.device_ids)
-        absorb(f"{self.model.value} {self.N} {self.rounds} {ids}\n")
-        for rnd, dev, action, fb in self.events:
-            absorb(
-                f"{rnd}\t{dev}\t{_ACTION_TAG[action.kind]}\t"
-                f"{_payload_text(action.payload)}\t{_feedback_text(fb)}\n"
-            )
+        text = f"{self.model.value} {self.N} {self.rounds} {ids}\n"
+        h = 0xCBF29CE484222325
+        for byte in (text + _event_lines(self.events)).encode("ascii"):
+            h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
         return h
 
 

@@ -1,14 +1,16 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from radioleader.channel import CdModel
+from radioleader.channel import LISTEN, CdModel, transmit
 from radioleader.dense import (
     AttemptSummary,
     CensusResult,
     census,
     census_merges,
+    census_phase,
     census_phase_len,
     choose_dense_b,
     dense_blocks,
@@ -20,7 +22,13 @@ from radioleader.dense import (
     exponential_search_election,
 )
 from radioleader.protocols_core import ceil_div, ceil_log2
-from radioleader.runtime import BoundFactory, ProtocolConfig, run_programs
+from radioleader.runtime import (
+    BoundFactory,
+    DeviceProgram,
+    ProtocolConfig,
+    Verdict,
+    run_programs,
+)
 
 ST, SE, RC, NO = (
     CdModel.STRONG_CD,
@@ -101,6 +109,79 @@ def test_census_cost():
         report, _ = run_programs(factory, sorted(present), config)
         assert report.rounds <= 2 * width
         assert report.ledger.max_energy <= 2 * ceil_log2(width) + 1
+
+
+def ref_census_phase(pos, ident, block_size, base=0):
+    """Reference census walk: every device scans the whole merge schedule
+    and acts on the merges whose sides match the range it represents."""
+    if block_size <= 1:
+        return (ident,), 1, 1
+    comp = (pos, pos)
+    members = [ident]
+    is_rep = True
+    slot = base
+    for left_lo, left_hi, right_lo, right_hi in census_merges(block_size):
+        if is_rep and comp == (left_lo, left_hi):
+            yield (slot, transmit(tuple(members)))
+            fb = yield (slot + 1, LISTEN)
+            if fb.kind == "received":
+                is_rep = False
+            else:
+                comp = (left_lo, right_hi)
+        elif is_rep and comp == (right_lo, right_hi):
+            fb = yield (slot, LISTEN)
+            if fb.kind == "received":
+                members = list(fb.payload) + members
+            yield (slot + 1, transmit(tuple(members)))
+            comp = (left_lo, right_hi)
+        slot += 2
+    broadcast = base + 2 * (block_size - 1)
+    if is_rep:
+        yield (broadcast, transmit(tuple(members)))
+        full = tuple(members)
+    else:
+        fb = yield (broadcast, LISTEN)
+        full = tuple(fb.payload)
+    return full, full.index(ident) + 1, len(full)
+
+
+class _CensusWalk(DeviceProgram):
+    """One census over block [1..width], run by `walk` from round `base`."""
+
+    def __init__(self, device_id, config, walk, width, base):
+        super().__init__(device_id, config)
+        self.walk, self.width, self.base = walk, width, base
+
+    @classmethod
+    def schedule_length(cls, config, walk, width, base):
+        return base + max(1, census_phase_len(width))
+
+    def run(self):
+        self.view = yield from self.walk(self.device_id, self.device_id, self.width, self.base)
+
+    def finish(self):
+        return Verdict(is_leader=False)
+
+
+def test_census_phase_matches_reference_walk():
+    rng = random.Random(13)
+    for width in range(1, 71):
+        occupancies = [range(1, width + 1)] + [
+            rng.sample(range(1, width + 1), rng.randrange(1, width + 1)) for _ in range(4)
+        ]
+        for present in occupancies:
+            base = rng.randrange(3)
+            config = ProtocolConfig(model=NO, N=width)
+            runs = [
+                run_programs(BoundFactory(_CensusWalk, walk=walk, width=width, base=base),
+                             sorted(present), config)
+                for walk in (ref_census_phase, census_phase)
+            ]
+            (want, want_progs), (got, got_progs) = runs
+            assert got.transcript.events == want.transcript.events, (width, present)
+            assert {d: p.view for d, p in got_progs.items()} == {
+                d: p.view for d, p in want_progs.items()
+            }
 
 
 # --- the walks --------------------------------------------------------------
@@ -290,6 +371,29 @@ def test_exponential_attempt_summaries_consistent():
     if succeeded:
         cutoff = next(a.test_slot for a in plan if a.index == succeeded[0].index)
         assert max(rnd for rnd, _, _, _ in r.transcript.events) == cutoff
+
+
+def test_exponential_plan_is_shared_and_immutable():
+    attempts, _ = exponential_plan(64, SE)
+    assert isinstance(attempts, tuple)
+    assert exponential_plan(64, SE)[0] is attempts
+
+
+def test_sender_side_census_memory_tracks_devices_not_width():
+    # attempt 1 (512 blocks, 32 devices) fails and attempt 2 is one block of
+    # b = 4096 ids, where per-device census state of O(b) would need ~26 MB
+    N = 1 << 13
+    plan, _ = exponential_plan(N, SE)
+    assert plan[1].b == plan[1].space == N // 2
+    ids = random.Random(2).sample(range(1, N + 1), N >> 8)
+    tracemalloc.start()
+    try:
+        report = exponential_search_election(ids, N, model=SE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.strict_success and not report.attempts[0].success
+    assert peak < 2_000_000
 
 
 def test_exponential_replay():

@@ -28,6 +28,7 @@ disagree.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .channel import LISTEN, CdModel, transmit
@@ -62,6 +63,7 @@ def pairing_level_len(space: int, compact: bool = False) -> int:
     return space // 2 if compact else (space + 1) // 2
 
 
+@lru_cache(maxsize=256)
 def pairing_phase_len(space: int, compact: bool = False) -> int:
     total = 0
     while space > 1:

@@ -1,11 +1,15 @@
+import gc
 import hashlib
 import itertools
+import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radioleader.channel import Action, CdModel, resolve_slot
 from radioleader.dense import (
+    census,
     dense_improved_election,
     dense_simple_election,
     exponential_search_election,
@@ -15,6 +19,7 @@ from radioleader.protocols_core import (
     binary_search_election,
     halving_tradeoff_election,
     pairing_election,
+    pairing_reduce_once,
 )
 from radioleader.runtime import (
     BoundFactory,
@@ -289,6 +294,114 @@ def test_run_programs_returns_program_objects():
     assert set(programs) == {1}
     assert programs[1].device_id == 1
     assert report.leader == 1
+
+
+def test_run_restores_the_collector_state():
+    ok = make_script({1: [(0, Action("transmit", 1))]}, winners={1})
+    bad = make_script({1: [(1, Action("listen")), (1, Action("listen"))]})
+    assert gc.isenabled()
+    run_programs(ok, [1], cfg(4))
+    assert gc.isenabled()
+    with pytest.raises(ScheduleOverrun):
+        run_programs(bad, [1], cfg(4))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        run_programs(ok, [1], cfg(4))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+GARBAGE_N = 256
+GARBAGE_IDS = sorted(random.Random(7).sample(range(1, GARBAGE_N + 1), 12))
+
+
+def _garbage_runs():
+    """Every protocol under one model it admits, plus the census and a single
+    pairing level, at N = 256 on a sparse id set."""
+    ids, N = GARBAGE_IDS, GARBAGE_N
+    params = choose_params(N, len(ids), 4, 0.5, verify_trials=1000)
+    yield "pairing", partial(pairing_election, ids, N)
+    yield "binary_search", partial(binary_search_election, ids, N, CdModel.RECEIVER_CD)
+    for inner in ("binary_search", "pairing"):
+        yield f"halving {inner}", partial(
+            halving_tradeoff_election, ids, N, 2, inner_election=inner)
+    yield "tradeoff", partial(partition_tradeoff_election, ids, params)
+    yield "dense_simple", partial(dense_simple_election, ids, N, 16)
+    yield "dense_improved", partial(dense_improved_election, ids, N, 16)
+    yield "exponential", partial(exponential_search_election, ids, N, CdModel.SENDER_CD)
+    yield "census", partial(census, 1, N, ids)
+    yield "pairing_reduce_once", partial(pairing_reduce_once, ids, N)
+
+
+GARBAGE_RUNS = dict(_garbage_runs())
+
+
+@pytest.mark.parametrize("name", GARBAGE_RUNS)
+def test_runs_leave_no_cyclic_garbage(name):
+    # the executor pauses the cyclic collector during a run; that is only
+    # free if a run builds no reference cycles for it to find afterwards
+    gc.collect()
+    GARBAGE_RUNS[name]()
+    assert gc.collect() == 0
+
+
+def _resume(gen, feedback):
+    try:
+        return gen.send(feedback)
+    except StopIteration:
+        return None
+
+
+def reference_schedule(factory, ids, config):
+    """Step every device once per round, in ascending device order."""
+    gens = {dev: factory(dev, config).run() for dev in sorted(ids)}
+    offers = {dev: _resume(gen, None) for dev, gen in gens.items()}
+    events, counts, easy = [], dict.fromkeys(gens, 0), False
+    for rnd in range(factory.schedule_length(config)):
+        batch = {dev: o[1] for dev, o in offers.items() if o and o[0] == rnd}
+        if not batch:
+            continue
+        outcome = resolve_slot(config.model, batch)
+        kinds = [a.kind for a in batch.values()]
+        easy |= outcome.transmitter_count == 1 and "listen" in kinds
+        for dev, action in batch.items():
+            events.append((rnd, dev, action, outcome.feedback[dev]))
+            counts[dev] += 1
+            offers[dev] = _resume(gens[dev], outcome.feedback[dev])
+    return events, counts, easy
+
+
+SCRIPT_ROUNDS = 12
+scripts = st.dictionaries(
+    st.integers(1, 8),
+    st.dictionaries(
+        st.integers(0, SCRIPT_ROUNDS - 1),
+        st.sampled_from(["listen", "transmit"]),
+        max_size=6,
+    ),
+    min_size=1,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=scripts, model=st.sampled_from(list(CdModel)))
+def test_scheduler_matches_reference_order(plan, model):
+    # scripted devices skip rounds and share rounds; the event-driven
+    # scheduler must resolve and record them as the round-by-round loop does
+    script = {
+        dev: [(rnd, Action(kind, dev if kind == "transmit" else None))
+              for rnd, kind in sorted(slots.items())]
+        for dev, slots in plan.items()
+    }
+    prog = make_script(script, length=SCRIPT_ROUNDS)
+    config = cfg(8, model)
+    report, _ = run_programs(prog, plan, config)
+    events, counts, easy = reference_schedule(prog, plan, config)
+    assert report.transcript.events == events
+    assert report.ledger.counts == counts
+    assert report.easy_success == easy
 
 
 # --- golden transcripts -----------------------------------------------------

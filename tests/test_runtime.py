@@ -32,6 +32,10 @@ from radioleader.runtime import (
     Verdict,
     check_easy_success,
     check_strict_success,
+    _CHUNK,
+    _SHORT,
+    _event_lines,
+    _fnv1a,
     execute,
     run_programs,
 )
@@ -457,6 +461,15 @@ def _golden_runs():
                         partial(partition_tradeoff_election, ids, params, model=m)
 
 
+def _golden_reports():
+    """(name, report) for each golden run, a failed election included."""
+    for name, run in _golden_runs():
+        try:
+            yield name, run()
+        except NoLeader as exc:
+            yield name, exc.report
+
+
 def test_golden_transcripts():
     """One sha256 over the serialized transcripts, headers, leaders and rank
     maps of a fixed run matrix.  It hashes the serialized text rather than
@@ -464,11 +477,7 @@ def test_golden_transcripts():
     change of this literal is a change of simulated behaviour."""
     digest = hashlib.sha256()
     runs = 0
-    for name, run in _golden_runs():
-        try:
-            report = run()
-        except NoLeader as exc:
-            report = exc.report
+    for name, report in _golden_reports():
         t = report.transcript
         ids = ",".join(str(i) for i in t.device_ids)
         ranks = ",".join(f"{d}:{v.rank}" for d, v in sorted(report.verdicts.items())
@@ -482,3 +491,74 @@ def test_golden_transcripts():
     assert digest.hexdigest() == (
         "08309c3d0886572b1e069a36608b5e15ecfb73c9bb7605ef48d3ee2e9afd9164"
     )
+
+
+def test_golden_transcript_hashes():
+    """One sha256 over Transcript.hash64 of the golden run matrix: a change
+    of this literal is a change of the hash function's values."""
+    digest = hashlib.sha256()
+    runs = 0
+    for _, report in _golden_reports():
+        digest.update(b"%016x\n" % report.transcript_hash)
+        runs += 1
+    assert runs == 698
+    assert digest.hexdigest() == (
+        "f094cbfb2544f22067bcf3de96dd8b033f39c6aef020ec2a0ee329dc6053b93a"
+    )
+
+
+# --- the FNV-1a fold --------------------------------------------------------
+
+def fnv1a_reference(data):
+    """The per-byte FNV-1a loop that `_fnv1a` must reproduce."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+FOLD_LENGTHS = [*range(65), _SHORT - 1, _SHORT, _SHORT + 1,
+                _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+
+
+@pytest.mark.parametrize("length", FOLD_LENGTHS)
+def test_fold_matches_reference_loop(length):
+    rng = random.Random(length)
+    for data in (rng.randbytes(length), bytes(length), b"\xff" * length):
+        assert _fnv1a(data) == fnv1a_reference(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.binary(max_size=_SHORT),
+                 st.binary(min_size=_SHORT, max_size=3 * _SHORT)))
+def test_fold_matches_reference_loop_on_drawn_bytes(data):
+    assert _fnv1a(data) == fnv1a_reference(data)
+
+
+def _transcript_runs():
+    """Every protocol once at N = 2^10, on all ids where it is meant for
+    dense sets and on 12 seeded ids for the partition trade-off."""
+    N = 1 << 10
+    ids = range(1, N + 1)
+    few = sorted(random.Random(5).sample(ids, 12))
+    params = choose_params(N, len(few), 4, 0.5, verify_trials=1000)
+    yield partial(pairing_election, ids, N)
+    yield partial(binary_search_election, ids, N, CdModel.RECEIVER_CD)
+    yield partial(halving_tradeoff_election, ids, N, 3)
+    yield partial(partition_tradeoff_election, few, params)
+    yield partial(dense_simple_election, ids, N, 16)
+    yield partial(dense_improved_election, ids, N, 16)
+    yield partial(exponential_search_election, ids, N, CdModel.SENDER_CD)
+
+
+def test_transcript_hash_matches_reference_loop():
+    longest = 0
+    for run in _transcript_runs():
+        report = run()
+        t = report.transcript
+        ids = ",".join(str(i) for i in t.device_ids)
+        data = (f"{t.model.value} {t.N} {t.rounds} {ids}\n"
+                + _event_lines(t.events)).encode("ascii")
+        assert report.transcript_hash == fnv1a_reference(data)
+        longest = max(longest, len(data))
+    assert longest > _CHUNK

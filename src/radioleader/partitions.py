@@ -21,18 +21,31 @@ assignments, so files stay portable even across implementations that never
 heard of the stream.
 
 Verification is exhaustive (all subsets, within a work budget) or sampled
-(uniform random subsets per size).  A failed check returns the offending
-subset; it is a value, not an exception.
+(`trials` uniform subsets per size m = 1..min(n_max, N)).  Sampled subsets
+come from the same splitmix64 stream, started at seed splitmix64_at(rng_seed,
+0) so that it does not coincide with the stream of a family drawn with a
+small seed.  Each subset is drawn with Floyd's algorithm, vectorised across
+a batch of subsets: for j = N-m+1..N take t = 1 + (v mod j) for the next
+stream value v, and j instead when the subset already holds t.  That is
+uniform over m-subsets up to a modulo bias of at most N / 2^64 per step,
+with no rejection loop.  Batches hold about 2^16 ids whatever m is, and are
+checked one partition at a time: sort each subset's parts, and a part
+differing from both neighbours is a singleton.  The counterexample is the
+first failing subset in draw order, as a sorted tuple.  These subsets differ
+from those of versions that sampled with Python's `random`, so a
+`sampled:T` certificate refers to this sampler.  A failed check returns the
+offending subset; it is a value, not an exception.
 
 balls_in_bins_singleton_prob estimates the probability that throwing n
 balls into b bins uniformly leaves at least one bin with exactly one ball,
 together with the analytic lower bound 1 - (4n/b)^(n/2) valid for n <= b/2.
+Bins are v mod b for values v of the splitmix64 stream started at
+splitmix64_at(seed, 0), scored in batches like sampled verification.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -42,6 +55,7 @@ import numpy as np
 PRNG_ALGORITHM = "splitmix64"
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_BATCH_IDS = 1 << 16  # ids per sampled batch, so memory stays flat in n_max
 
 
 class RetriesExhausted(RuntimeError):
@@ -142,6 +156,38 @@ def _draw_partitions(N: int, b: int, K: int, seed: int) -> Tuple[Partition, ...]
     return tuple(Partition(b=b, part_of=tuple(int(x) for x in row)) for row in grid)
 
 
+def _rows_have_singleton(labels: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D label array: does some label occur exactly once?"""
+    ordered = np.sort(labels, axis=1)
+    same = ordered[:, 1:] == ordered[:, :-1]
+    lone = np.ones(ordered.shape, dtype=bool)
+    lone[:, 1:] &= ~same
+    lone[:, :-1] &= ~same
+    return lone.any(axis=1)
+
+
+def _floyd_subsets(stream_seed: int, start: int, rows: int, N: int, m: int) -> np.ndarray:
+    """rows uniform m-subsets of [1..N] (unsorted), from stream positions start.."""
+    values = _splitmix64_block(stream_seed, start, rows * m).reshape(rows, m)
+    out = np.empty((rows, m), dtype=np.int64)
+    for col, j in enumerate(range(N - m + 1, N + 1)):
+        t = (values[:, col] % np.uint64(j)).astype(np.int64) + 1
+        taken = (out[:, :col] == t[:, None]).any(axis=1)
+        out[:, col] = np.where(taken, j, t)
+    return out
+
+
+def _missed_rows(grid: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of subsets that no partition isolates a
+    member of: subset_hits_family for a batch, with grid the K x N parts."""
+    missed = np.arange(len(subsets))
+    for parts in grid:
+        if missed.size == 0:
+            break
+        missed = missed[~_rows_have_singleton(parts[subsets[missed] - 1])]
+    return missed
+
+
 def subset_hits_family(partitions: Sequence[Partition], subset: Sequence[int]) -> bool:
     """True when some partition isolates one member of the subset."""
     for partition in partitions:
@@ -168,9 +214,10 @@ def verify_family(
     """Check the covering property for all subset sizes 1..n_max.
 
     mode 'exhaustive' walks every subset (requires the total count to fit
-    the work budget), 'sampled' draws `trials` uniform subsets per size,
-    'auto' picks exhaustive when affordable.  The first failing subset is
-    returned as the counterexample."""
+    the work budget), 'sampled' draws `trials` >= 1 uniform subsets per
+    size (see the module docstring), 'auto' picks exhaustive when
+    affordable.  The first failing subset is returned as the
+    counterexample."""
     if mode == "auto":
         mode = "exhaustive" if exhaustive_budget(family.N, family.n_max) <= budget else "sampled"
     if mode == "exhaustive":
@@ -182,12 +229,20 @@ def verify_family(
                     return VerifyResult(False, None, subset)
         return VerifyResult(True, Certificate("exhaustive", n_max=family.n_max), None)
     if mode == "sampled":
-        rng = random.Random(rng_seed)
-        population = range(1, family.N + 1)
-        for m in range(1, family.n_max + 1):
-            for _ in range(trials):
-                subset = tuple(sorted(rng.sample(population, m)))
-                if not subset_hits_family(family.partitions, subset):
+        if trials < 1:
+            raise ValueError("sampled verification needs trials >= 1")
+        grid = np.array([p.part_of for p in family.partitions], dtype=np.int64)
+        stream_seed = splitmix64_at(rng_seed, 0)
+        position = 0
+        for m in range(1, min(family.n_max, family.N) + 1):
+            rows = max(1, _BATCH_IDS // m)
+            for first in range(0, trials, rows):
+                count = min(rows, trials - first)
+                subsets = _floyd_subsets(stream_seed, position, count, family.N, m)
+                position += count * m
+                missed = _missed_rows(grid, subsets)
+                if missed.size:
+                    subset = tuple(sorted(int(x) for x in subsets[missed[0]]))
                     return VerifyResult(False, None, subset)
         return VerifyResult(True, Certificate("sampled", trials=trials), None)
     raise ValueError(f"unknown verification mode {mode!r}")
@@ -319,15 +374,14 @@ def balls_in_bins_singleton_prob(
         raise ValueError("the analytic bound needs n <= b/2")
     if trials < 10**4:
         raise ValueError("use at least 10^4 trials")
-    rng = random.Random(seed)
+    stream_seed = splitmix64_at(seed, 0)
+    rows = max(1, _BATCH_IDS // n)
     hits = 0
-    for _ in range(trials):
-        counts: dict = {}
-        for _ in range(n):
-            bin_ = rng.randrange(b)
-            counts[bin_] = counts.get(bin_, 0) + 1
-        if 1 in counts.values():
-            hits += 1
+    for first in range(0, trials, rows):
+        count = min(rows, trials - first)
+        values = _splitmix64_block(stream_seed, first * n, count * n)
+        bins = (values % np.uint64(b)).reshape(count, n)
+        hits += int(np.count_nonzero(_rows_have_singleton(bins)))
     return SingletonEstimate(
         n=n,
         b=b,

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radioleader.partitions import (
     Certificate,
@@ -10,6 +11,8 @@ from radioleader.partitions import (
     PartitionFamily,
     RetriesExhausted,
     _draw_partitions,
+    _floyd_subsets,
+    _missed_rows,
     _splitmix64_block,
     balls_in_bins_singleton_prob,
     dump_family,
@@ -153,6 +156,101 @@ def test_sampled_verification_spec_grid():
     fam = generate_family(256, 16, 0.5, n_max=4, verify_mode="sampled",
                           trials=5000)
     assert fam.certificate.token() == "sampled:5000"
+
+
+def test_sampled_verification_rejects_vacuous_trials():
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            generate_family(4096, 64, 0.5, n_max=8, verify_mode="sampled",
+                            trials=trials)
+    # sizes above N are vacuous, as in exhaustive mode
+    ident = Partition(b=4, part_of=(1, 2, 3))
+    fam = PartitionFamily(
+        N=3, b=4, K=1, epsilon_tilde=0.5, n_max=5, seed=0, c_const=8,
+        partitions=(ident,), certificate=Certificate("unverified"),
+    )
+    assert verify_family(fam, mode="exhaustive").ok
+    result = verify_family(fam, mode="sampled", trials=50)
+    assert result.ok and result.certificate.token() == "sampled:50"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_missed_rows_matches_scalar_check(data):
+    K = data.draw(st.integers(1, 4))
+    b = data.draw(st.integers(2, 5))
+    N = data.draw(st.integers(1, 12))
+    grid = data.draw(st.lists(st.lists(st.integers(1, b), min_size=N, max_size=N),
+                              min_size=K, max_size=K))
+    m = data.draw(st.integers(1, N))
+    subsets = data.draw(st.lists(
+        st.lists(st.integers(1, N), min_size=m, max_size=m, unique=True),
+        min_size=1, max_size=20))
+    partitions = [Partition(b=b, part_of=tuple(row)) for row in grid]
+    missed = _missed_rows(np.array(grid, dtype=np.int64), np.array(subsets, dtype=np.int64))
+    expected = [r for r, subset in enumerate(subsets)
+                if not subset_hits_family(partitions, subset)]
+    assert missed.tolist() == expected
+
+
+def test_floyd_subsets_are_uniform_and_reproducible():
+    for N, m in ((1, 1), (5, 5), (12, 4), (4096, 8)):
+        draws = _floyd_subsets(splitmix64_at(7, 0), 0, 500, N, m)
+        assert draws.shape == (500, m)
+        assert draws.min() >= 1 and draws.max() <= N
+        assert all(len(set(row)) == m for row in draws.tolist())
+    draws = _floyd_subsets(splitmix64_at(1, 0), 0, 30_000, 6, 3)
+    again = _floyd_subsets(splitmix64_at(1, 0), 0, 30_000, 6, 3)
+    assert np.array_equal(draws, again)
+    counts = {}
+    for row in draws.tolist():
+        key = tuple(sorted(row))
+        counts[key] = counts.get(key, 0) + 1
+    assert set(counts) == set(itertools.combinations(range(1, 7), 3))
+    expected = 30_000 / 20
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < 43.82  # 0.999 quantile of chi-square with 19 degrees of freedom
+
+
+def test_sampled_lump_family_fails_reproducibly():
+    lump = Partition(b=4, part_of=(1, 1, 1, 1, 1, 1))
+    fam = PartitionFamily(
+        N=6, b=4, K=2, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
+        partitions=(lump, lump), certificate=Certificate("unverified"),
+    )
+    result = verify_family(fam, mode="sampled", trials=100, rng_seed=5)
+    assert not result.ok and result.certificate is None
+    subset = result.counterexample
+    assert len(subset) == 2 and list(subset) == sorted(subset)
+    assert not subset_hits_family(fam.partitions, subset)
+    assert verify_family(fam, mode="sampled", trials=100, rng_seed=5) == result
+
+
+def test_sampled_finds_what_exhaustive_finds():
+    # K = 4 partitions of 10 ids into 3 parts: about 40% of the draws miss,
+    # many of them on a single subset
+    outcomes = []
+    for seed in range(40):
+        parts = _draw_partitions(10, 3, 4, seed)
+        fam = PartitionFamily(
+            N=10, b=3, K=4, epsilon_tilde=0.5, n_max=3, seed=seed, c_const=1,
+            partitions=parts, certificate=Certificate("unverified"),
+        )
+        exhaustive = verify_family(fam, mode="exhaustive")
+        sampled = verify_family(fam, mode="sampled", trials=2000, rng_seed=seed)
+        assert sampled.ok == exhaustive.ok
+        if not sampled.ok:
+            assert not subset_hits_family(parts, sampled.counterexample)
+        outcomes.append(sampled.ok)
+    assert 5 <= outcomes.count(False) <= 35
+
+
+def test_benchmark_family_verifies_at_first_seed():
+    # the tradeoff call of the benchmark's cli_sweep; a retry would change its rows
+    for seed in range(1, 11):
+        fam = generate_family(4096, 64, 0.5, n_max=8, seed=seed)
+        assert fam.seed == seed
+        assert fam.certificate.token() == "sampled:100000"
 
 
 def test_file_round_trip_byte_equal():

@@ -222,8 +222,11 @@ def _run_one(args, model: CdModel, devices: List[int],
         report = halving_tradeoff_election(devices, N, k, model=model)
         return report, "", str(k)
     if proto == "tradeoff":
-        report = partition_tradeoff_election(devices, tradeoff_params,
-                                             model=model)
+        try:
+            report = partition_tradeoff_election(devices, tradeoff_params,
+                                                 model=model)
+        except NoLeader as exc:
+            report = exc.report
         return report, str(tradeoff_params.b), str(tradeoff_params.K)
     if proto in ("dense_simple", "dense_improved"):
         b = args.b if args.b is not None else choose_dense_b(N, len(devices))
@@ -257,10 +260,7 @@ def run_experiment(args):
 
     entries = []
     for devices in subsets:
-        try:
-            report, b_col, k_col = _run_one(args, model, devices, params)
-        except NoLeader as exc:
-            report, b_col, k_col = exc.report, str(params.b), str(params.K)
+        report, b_col, k_col = _run_one(args, model, devices, params)
         row = _record(
             CSV_HEADER,
             args.protocol,

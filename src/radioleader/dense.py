@@ -7,14 +7,20 @@ number of blocks, so ranks only reach 1..(group size - blocks) and a group
 member exists with rank 1 whenever the device count exceeds the block
 count.  The rank-1 device announces itself in a final slot.
 
-Two variants build the same labelling:
+One walk builds the labelling.  Block i lasts a fixed number of rounds and
+ends in a handoff slot in which the group head passes its counter to the
+device heading block i + 1, so a device takes part in at most three
+blocks: its own, the one it heads, and the one before that.  The walk is
+written once; two block bodies plug into it:
 
 * dense_simple_election  - two slots per id: the current group head hands
-  its counter to each candidate in turn.  Time about 2N.
-* dense_improved_election - per block, a census first tells every present
-  device its position within the block, after which one exchange with the
-  head plus a label chain through the block replaces per-id head work.
-  Time about 3N, but per-device energy drops from O(b) to O(log b).
+  its counter to each candidate in turn.  2w + 1 rounds for a block of
+  width w, time about 2N.
+* dense_improved_election - a census first tells every present device its
+  position within the block, after which one exchange with the head plus
+  a label chain through the block replaces per-id head work.  3w + 1
+  rounds for a block of width w >= 2, time about 3N, but per-device
+  energy drops from O(b) to O(log b).
 
 The census is a binary merge tournament over the block: representatives of
 adjacent sub-ranges meet in two slots (left transmits its member list, then
@@ -36,24 +42,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .channel import LISTEN, CdModel, transmit
-from .protocols_core import (
-    ceil_div,
-    ceil_log2,
-    pairing_level_len,
-    pairing_level_phase,
-)
+from .protocols_core import ceil_div, pairing_level_len, pairing_level_phase
 from .runtime import (
     BoundFactory,
     DeviceProgram,
     ProtocolConfig,
     RunReport,
-    Verdict,
     execute,
     run_programs,
 )
+
 
 def dense_blocks(space: int, b: int) -> List[Tuple[int, int]]:
     return [(lo, min(space, lo + b - 1)) for lo in range(1, space + 1, b)]
@@ -159,9 +160,6 @@ class _CensusProgram(DeviceProgram):
             self.device_id - self.lo + 1, self.device_id, self.hi - self.lo + 1
         )
 
-    def finish(self) -> Verdict:
-        return Verdict(is_leader=False)
-
 
 def census(
     lo: int, hi: int, present, model: CdModel = CdModel.NO_CD
@@ -186,134 +184,126 @@ def census(
 
 
 # ---------------------------------------------------------------------------
-# the two block walks
+# the block walk
 
 
-def dense_simple_phase(cid: int, space: int, b: int, base: int = 0):
-    """Label chain of the two-slots-per-id walk, starting at round `base`.
+def _block_walk(cid: int, space: int, b: int, base: int, block_len, block):
+    """Label chain over the blocks of [1..space], starting at round `base`.
     Returns the final rank (label minus block count) or None.
+
+    `block(cid, i, lo, hi, first, r, s)` runs the body of block i = [lo..hi]
+    from round `first` and returns the updated (r, s): r is this device's
+    label, s the counter it holds while it heads the group.  `block_len(w)`
+    is the round count of a block of width w, the last round being the
+    handoff in which the head passes its counter on to the next block's.
 
     A device is involved in at most three blocks: the one holding its id,
     the one whose index equals its label (head duty), and the one before
     that (handoff listen).  Everything else is skipped outright, so the
     per-device work does not grow with the block count."""
     nblocks = (space + b - 1) // b
-    span = 2 * b + 1  # rounds of one full-width block
-    r: Optional[int] = None
-    s: Optional[int] = None
-
-    def visit(i: int):
-        nonlocal r, s
+    span = block_len(b)  # rounds of one full-width block
+    home = (cid - 1) // b + 1
+    r = s = None
+    visits = [home]
+    for i in visits:
         lo = (i - 1) * b + 1
         hi = min(space, lo + b - 1)
         first = base + (i - 1) * span  # first round of block i
-        for j in range(lo, hi + 1):
-            slot_a = first + 2 * (j - lo)
-            if cid == j:
-                fb = yield (slot_a, LISTEN)
-                if fb.kind == "received":
-                    r = fb.payload + 1  # join behind the head's counter
-                else:
-                    r = i  # nobody leads: found the group here
-                    s = i
-                yield (slot_a + 1, transmit(cid))
-            elif r == i:
-                yield (slot_a, transmit(s))
-                fb = yield (slot_a + 1, LISTEN)
-                if fb.kind == "received":
-                    s += 1
-        handoff = first + 2 * (hi - lo + 1)
+        r, s = yield from block(cid, i, lo, hi, first, r, s)
+        handoff = first + block_len(hi - lo + 1) - 1
         if r == i:
             yield (handoff, transmit(s))
         elif r == i + 1:
             fb = yield (handoff, LISTEN)
             if fb.kind == "received":
                 s = fb.payload
+        if i == home:
+            visits += [j for j in sorted({r - 1, r}) if home < j <= nblocks]
+    return r - nblocks if r >= nblocks + 1 else None
 
-    home = (cid - 1) // b + 1
-    yield from visit(home)
-    for i in sorted({r - 1, r}):
-        if home < i <= nblocks:
-            yield from visit(i)
-    if r >= nblocks + 1:
-        return r - nblocks
-    return None
+
+def _walk_len(space: int, b: int, block_len) -> int:
+    nblocks = (space + b - 1) // b
+    return (nblocks - 1) * block_len(b) + block_len(space - (nblocks - 1) * b)
+
+
+def _simple_block_len(width: int) -> int:
+    return 2 * width + 1
+
+
+def _simple_block(cid, i, lo, hi, first, r, s):
+    # two slots per id: the head offers its counter, the candidate answers
+    for j in range(lo, hi + 1):
+        slot_a = first + 2 * (j - lo)
+        if cid == j:
+            fb = yield (slot_a, LISTEN)
+            if fb.kind == "received":
+                r = fb.payload + 1  # join behind the head's counter
+            else:
+                r = s = i  # nobody leads: found the group here
+            yield (slot_a + 1, transmit(cid))
+        elif r == i:
+            yield (slot_a, transmit(s))
+            fb = yield (slot_a + 1, LISTEN)
+            if fb.kind == "received":
+                s += 1
+    return r, s
+
+
+def _improved_block_len(width: int) -> int:
+    return census_phase_len(width) + width + 2
+
+
+def _improved_block(cid, i, lo, hi, first, r, s):
+    # census, one exchange with the head, then a label chain; a standing
+    # head still runs the exchange of an empty block
+    width = hi - lo + 1
+    in_block = lo <= cid <= hi
+    if in_block:
+        _, index, size = yield from census_phase(cid - lo + 1, cid, width, first)
+    ex = first + census_phase_len(width)
+    if r == i:
+        # standing head: offer the counter, then absorb the block size
+        yield (ex, transmit(s))
+        fb = yield (ex + 1, LISTEN)
+        if fb.kind == "received":
+            s += fb.payload
+    elif in_block and index == 1:
+        fb = yield (ex, LISTEN)
+        if fb.kind == "received":
+            r = fb.payload + 1
+        else:
+            r = i
+            s = i + size - 1  # founder: counter covers the whole block
+        yield (ex + 1, transmit(size))
+    if in_block:
+        chain = ex + 2
+        if index >= 2:
+            fb = yield (chain + index - 2, LISTEN)
+            r = fb.payload + 1
+        if index + 1 <= size:
+            yield (chain + index - 1, transmit(r))
+    return r, s
+
+
+def dense_simple_phase(cid: int, space: int, b: int, base: int = 0):
+    """Label chain of the two-slots-per-id walk, starting at round `base`."""
+    return _block_walk(cid, space, b, base, _simple_block_len, _simple_block)
 
 
 def dense_simple_phase_len(space: int, b: int) -> int:
-    nblocks = (space + b - 1) // b
-    last = space - (nblocks - 1) * b
-    return (nblocks - 1) * (2 * b + 1) + 2 * last + 1
+    return _walk_len(space, b, _simple_block_len)
 
 
 def dense_improved_phase(cid: int, space: int, b: int, base: int = 0):
     """Census-driven walk producing the same labels as dense_simple_phase,
-    starting at round `base`.
-
-    Visits the same three blocks at most as the simple walk (home, head
-    duty, handoff listen); a standing head still runs the exchange of an
-    empty block, which is why the head-duty block is always visited."""
-    nblocks = (space + b - 1) // b
-    span = census_phase_len(b) + b + 2  # rounds of one full-width block
-    r: Optional[int] = None
-    s: Optional[int] = None
-
-    def visit(i: int):
-        nonlocal r, s
-        lo = (i - 1) * b + 1
-        hi = min(space, lo + b - 1)
-        width = hi - lo + 1
-        first = base + (i - 1) * span  # first round of block i
-        in_block = i == home
-        index = size = None
-        if in_block:
-            _, index, size = yield from census_phase(cid - lo + 1, cid, width, first)
-        ex = first + census_phase_len(width)
-        if r == i:
-            # standing head: offer the counter, then absorb the block size
-            yield (ex, transmit(s))
-            fb = yield (ex + 1, LISTEN)
-            if fb.kind == "received":
-                s += fb.payload
-        elif in_block and index == 1:
-            fb = yield (ex, LISTEN)
-            if fb.kind == "received":
-                r = fb.payload + 1
-            else:
-                r = i
-                s = i + size - 1  # founder: counter covers the whole block
-            yield (ex + 1, transmit(size))
-        chain = ex + 2
-        if in_block:
-            if index >= 2:
-                fb = yield (chain + index - 2, LISTEN)
-                r = fb.payload + 1
-            if index + 1 <= size:
-                yield (chain + index - 1, transmit(r))
-        handoff = chain + (width - 1)
-        if r == i:
-            yield (handoff, transmit(s))
-        elif r == i + 1:
-            fb = yield (handoff, LISTEN)
-            if fb.kind == "received":
-                s = fb.payload
-
-    home = (cid - 1) // b + 1
-    yield from visit(home)
-    for i in sorted({r - 1, r}):
-        if home < i <= nblocks:
-            yield from visit(i)
-    if r >= nblocks + 1:
-        return r - nblocks
-    return None
+    starting at round `base`."""
+    return _block_walk(cid, space, b, base, _improved_block_len, _improved_block)
 
 
 def dense_improved_phase_len(space: int, b: int) -> int:
-    nblocks = (space + b - 1) // b
-    last = space - (nblocks - 1) * b
-    return (nblocks - 1) * (census_phase_len(b) + b + 2) + (
-        census_phase_len(last) + last + 2
-    )
+    return _walk_len(space, b, _improved_block_len)
 
 
 class _DenseProgram(DeviceProgram):
@@ -446,35 +436,15 @@ class ExponentialSearchProgram(DeviceProgram):
         attempts, final_slot = exponential_plan(self.config.N, self.config.model)
         cid = self.device_id
         live = True
-        done = False
         for att in attempts:
-            if done or not live:
-                continue
             rank = yield from dense_improved_phase(cid, att.space, att.b, att.base)
-            if rank == 1:
-                yield (att.test_slot, transmit(self.device_id))
-                self.won = True
-                self.leader_id = self.device_id
-                done = True
-            else:
-                fb = yield (att.test_slot, LISTEN)
-                if fb.kind == "received":
-                    self.leader_id = fb.payload
-                    done = True
-            if not done:
-                live, cid = yield from pairing_level_phase(
-                    cid, att.space, att.reduce_base
-                )
-        if not done:
-            if live:
-                # the id space shrank to a single id: its owner is alone
-                yield (final_slot, transmit(self.device_id))
-                self.won = True
-                self.leader_id = self.device_id
-            else:
-                fb = yield (final_slot, LISTEN)
-                if fb.kind == "received":
-                    self.leader_id = fb.payload
+            if (yield from self.announce(att.test_slot, rank == 1)):
+                return
+            live, cid = yield from pairing_level_phase(cid, att.space, att.reduce_base)
+            if not live:
+                break
+        # a survivor of every level is alone in the id space that is left
+        yield from self.announce(final_slot, live)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .channel import COLLISION, NO_FEEDBACK, SILENCE, Feedback
 from .runtime import DeviceProgram, ProtocolConfig, Verdict

@@ -36,7 +36,6 @@ from .runtime import (
     DeviceProgram,
     ProtocolConfig,
     RunReport,
-    Verdict,
     execute,
     run_programs,
 )
@@ -213,9 +212,6 @@ class PairingReduceProgram(DeviceProgram):
         self.survived, self.new_id = yield from pairing_level_phase(
             self.device_id, self.config.N
         )
-
-    def finish(self) -> Verdict:
-        return Verdict(is_leader=False, rank=None)
 
 
 # ---------------------------------------------------------------------------

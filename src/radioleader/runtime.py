@@ -51,16 +51,18 @@ import gc
 import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from .channel import (
+    LISTEN,
     Action,
     CdModel,
     Feedback,
     Payload,
     resolve_slot,
+    transmit,
 )
 
 
@@ -119,15 +121,17 @@ class DeviceProgram:
         return Verdict(is_leader=self.won, rank=self.rank)
 
     # Shared final slot: the winner transmits its id, everyone else listens.
+    # Returns whether this device now knows the leader.
     def announce(self, slot: int, is_winner: bool):
         if is_winner:
-            yield (slot, Action("transmit", self.device_id))
+            yield (slot, transmit(self.device_id))
             self.won = True
             self.leader_id = self.device_id
         else:
-            fb = yield (slot, Action("listen"))
+            fb = yield (slot, LISTEN)
             if fb.kind == "received":
                 self.leader_id = fb.payload
+        return self.leader_id is not None
 
 
 class ProgramFactory(Protocol):

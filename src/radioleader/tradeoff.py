@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .channel import LISTEN, CdModel, transmit
+from .channel import CdModel, transmit
 from .partitions import PartitionFamily, generate_family
 from .protocols_core import (
     HalvingTradeoffProgram,
@@ -146,10 +146,7 @@ class PartitionTradeoffProgram(DeviceProgram):
         b = self.family.b
         inner_len = pairing_phase_len(b, compact=True)
         span = b + inner_len + 1
-        done = False
         for i in range(self.family.K):
-            if done:
-                continue
             base = i * span
             my_part = self.family.partitions[i].part(self.device_id)
             fb = yield (base + my_part - 1, transmit(self.device_id))
@@ -160,17 +157,8 @@ class PartitionTradeoffProgram(DeviceProgram):
                 winner = yield from pairing_tournament_phase(
                     my_part, b, base + b, compact=True
                 )
-            announce_slot = base + b + inner_len
-            if winner:
-                yield (announce_slot, transmit(self.device_id))
-                self.won = True
-                self.leader_id = self.device_id
-                done = True
-            else:
-                fb = yield (announce_slot, LISTEN)
-                if fb.kind == "received":
-                    self.leader_id = fb.payload
-                    done = True
+            if (yield from self.announce(base + b + inner_len, winner)):
+                return
 
 
 def partition_tradeoff_election(

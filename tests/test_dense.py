@@ -259,6 +259,21 @@ def test_dense_round_formulas():
         assert dense_improved_election(full, N=N, b=b).rounds == 3 * N + nblocks + 1
     # width-1 tail blocks spend 3 rounds, not 4
     assert dense_improved_phase_len(5, 2) <= 3 * 5 + 3
+    # uneven id spaces: width-1 and partial tail blocks
+    for N, b in ((5, 2), (9, 4), (33, 7), (100, 16), (9, 9)):
+        widths = [hi - lo + 1 for lo, hi in dense_blocks(N, b)]
+        simple_len = dense_simple_phase_len(N, b)
+        improved_len = dense_improved_phase_len(N, b)
+        assert simple_len == sum(2 * w + 1 for w in widths)
+        assert improved_len == sum(census_phase_len(w) + w + 2 for w in widths)
+        full = list(range(1, N + 1))
+        for run, phase_len in (
+            (dense_simple_election, simple_len),
+            (dense_improved_election, improved_len),
+        ):
+            report = run(full, N=N, b=b)
+            assert report.strict_success
+            assert report.transcript.events[-1][0] <= phase_len
 
 
 def test_dense_energy_bounds():

@@ -21,6 +21,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .channel import CdModel
 from .dense import (
+    DenseImprovedProgram,
+    DenseSimpleProgram,
+    ExponentialSearchProgram,
     choose_dense_b,
     dense_improved_election,
     dense_simple_election,
@@ -43,27 +46,23 @@ from .protocols_core import (
     halving_tradeoff_election,
     pairing_election,
 )
-from .runtime import ProtocolConfig, RunReport
-from .tradeoff import NoLeader, choose_params, partition_tradeoff_election
-
-PROTOCOLS = (
-    "pairing",
-    "binary_search",
-    "halving",
-    "tradeoff",
-    "dense_simple",
-    "dense_improved",
-    "exponential",
+from .runtime import DeviceProgram, ProtocolConfig, RunReport
+from .tradeoff import (
+    NoLeader,
+    PartitionTradeoffProgram,
+    choose_params,
+    partition_tradeoff_election,
 )
 
-DEFAULT_MODEL = {
-    "pairing": CdModel.NO_CD,
-    "binary_search": CdModel.RECEIVER_CD,
-    "halving": CdModel.STRONG_CD,
-    "tradeoff": CdModel.SENDER_CD,
-    "dense_simple": CdModel.NO_CD,
-    "dense_improved": CdModel.NO_CD,
-    "exponential": CdModel.NO_CD,
+# --protocol name -> the program class that declares the protocol
+PROGRAMS = {
+    "pairing": PairingElectionProgram,
+    "binary_search": BinarySearchElectionProgram,
+    "halving": HalvingTradeoffProgram,
+    "tradeoff": PartitionTradeoffProgram,
+    "dense_simple": DenseSimpleProgram,
+    "dense_improved": DenseImprovedProgram,
+    "exponential": ExponentialSearchProgram,
 }
 
 CSV_HEADER = (
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="run leader-election experiments on a simulated "
         "single-hop radio channel",
     )
-    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
+    p.add_argument("--protocol", choices=PROGRAMS, required=True)
     p.add_argument("--model", default=None,
                    help="strong_cd | sender_cd | receiver_cd | no_cd "
                         "(default depends on the protocol)")
@@ -203,9 +202,18 @@ def generate_subsets(args) -> List[List[int]]:
     ]
 
 
+def _default_model(program: type[DeviceProgram]) -> CdModel:
+    """The weakest model the program is defined for; for every program the
+    declared models have exactly one."""
+    models = program.models
+    (weakest,) = [m for m in models
+                  if not any(m.is_strictly_stronger(o) for o in models)]
+    return weakest
+
+
 def _model_for(args) -> CdModel:
     if args.model is None:
-        return DEFAULT_MODEL[args.protocol]
+        return _default_model(PROGRAMS[args.protocol])
     return CdModel.parse(args.model)
 
 
@@ -388,14 +396,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    env_seed = os.environ.get("RADIOLEADER_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"RADIOLEADER_SEED={env_seed!r} is not an integer",
-                  file=sys.stderr)
-            return 2
     if args.N < 1:
         print("--N must be at least 1", file=sys.stderr)
         return 2

@@ -47,7 +47,6 @@ from typing import Dict, List, Tuple
 from .channel import LISTEN, CdModel, transmit
 from .protocols_core import ceil_div, pairing_level_len, pairing_level_phase
 from .runtime import (
-    BoundFactory,
     DeviceProgram,
     ProtocolConfig,
     RunReport,
@@ -146,18 +145,15 @@ class CensusResult:
 
 
 class _CensusProgram(DeviceProgram):
-    def __init__(self, device_id, config, lo: int, hi: int):
-        super().__init__(device_id, config)
-        self.lo = lo
-        self.hi = hi
+    """One census over the block [1..config.N]."""
 
     @classmethod
-    def schedule_length(cls, config, lo: int, hi: int) -> int:
-        return max(1, census_phase_len(hi - lo + 1))
+    def schedule_length(cls, config: ProtocolConfig) -> int:
+        return max(1, census_phase_len(config.N))
 
     def run(self):
         self.view = yield from census_phase(
-            self.device_id - self.lo + 1, self.device_id, self.hi - self.lo + 1
+            self.device_id, self.device_id, self.config.N
         )
 
 
@@ -166,21 +162,20 @@ def census(
 ) -> CensusResult:
     """Standalone census over the id range [lo..hi]; `present` is the set of
     ids that actually exist there.  Every present device ends up knowing the
-    same ascending member list, its own index, and the size."""
+    same ascending member list, its own index, and the size.  The run
+    itself sees the ids shifted to [1..hi - lo + 1]."""
     ids = sorted(set(present))
     if not ids:
         return CensusResult(members=())
     if ids[0] < lo or ids[-1] > hi:
         raise ValueError(f"present ids must lie in [{lo}, {hi}]")
-    config = ProtocolConfig(model=model, N=hi)
-    factory = BoundFactory(_CensusProgram, lo=lo, hi=hi)
-    _, programs = run_programs(factory, ids, config)
-    views = {dev: prog.view for dev, prog in programs.items()}
-    members = tuple(ids)
-    for dev, (full, index, size) in views.items():
-        if full != members or index != members.index(dev) + 1 or size != len(members):
-            raise AssertionError(f"census views disagree for device {dev}")
-    return CensusResult(members=members)
+    shifted = tuple(i - lo + 1 for i in ids)
+    config = ProtocolConfig(model=model, N=hi - lo + 1)
+    _, programs = run_programs(_CensusProgram, shifted, config)
+    for dev, prog in programs.items():
+        if prog.view != (shifted, shifted.index(dev) + 1, len(shifted)):
+            raise AssertionError(f"census views disagree for device {dev + lo - 1}")
+    return CensusResult(members=tuple(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +228,22 @@ def _simple_block_len(width: int) -> int:
 
 
 def _simple_block(cid, i, lo, hi, first, r, s):
-    # two slots per id: the head offers its counter, the candidate answers
-    for j in range(lo, hi + 1):
-        slot_a = first + 2 * (j - lo)
-        if cid == j:
-            fb = yield (slot_a, LISTEN)
-            if fb.kind == "received":
-                r = fb.payload + 1  # join behind the head's counter
-            else:
-                r = s = i  # nobody leads: found the group here
-            yield (slot_a + 1, transmit(cid))
-        elif r == i:
+    # two slots per id: the head offers its counter, the candidate answers.
+    # A candidate acts only at its own id; the head, standing or founded
+    # there, acts at every id after that.
+    start = lo
+    if lo <= cid <= hi:
+        slot_a = first + 2 * (cid - lo)
+        fb = yield (slot_a, LISTEN)
+        if fb.kind == "received":
+            r = fb.payload + 1  # join behind the head's counter
+        else:
+            r = s = i  # nobody leads: found the group here
+        yield (slot_a + 1, transmit(cid))
+        start = cid + 1
+    if r == i:
+        for j in range(start, hi + 1):
+            slot_a = first + 2 * (j - lo)
             yield (slot_a, transmit(s))
             fb = yield (slot_a + 1, LISTEN)
             if fb.kind == "received":

@@ -150,6 +150,8 @@ class PairingElectionProgram(DeviceProgram):
 
 
 class BinarySearchElectionProgram(DeviceProgram):
+    models = (CdModel.STRONG_CD, CdModel.RECEIVER_CD)
+
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
         return ceil_log2(config.N) + 1
@@ -178,6 +180,8 @@ def _halving_plan(config: ProtocolConfig) -> Tuple[int, int, str, int]:
 
 
 class HalvingTradeoffProgram(DeviceProgram):
+    models = (CdModel.STRONG_CD,)
+
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
         probes, _, _, inner_len = _halving_plan(config)
@@ -226,11 +230,6 @@ def pairing_election(
 
 
 def binary_search_election(devices, N: int, model: CdModel) -> RunReport:
-    if not model.receiver_side:
-        raise ValueError(
-            "binary search needs listeners that detect collisions "
-            "(strong_cd or receiver_cd)"
-        )
     config = ProtocolConfig(model=model, N=N)
     return execute(BinarySearchElectionProgram, devices, config)
 
@@ -242,8 +241,6 @@ def halving_tradeoff_election(
     model: CdModel = CdModel.STRONG_CD,
     inner_election: Optional[str] = None,
 ) -> RunReport:
-    if model is not CdModel.STRONG_CD:
-        raise ValueError("the halving trade-off is defined for strong_cd")
     config = ProtocolConfig(model=model, N=N, k=k, inner_election=inner_election)
     return execute(HalvingTradeoffProgram, devices, config)
 

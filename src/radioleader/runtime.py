@@ -3,6 +3,10 @@
 A device program is an automaton attached to one device id.  Its schedule is
 oblivious: `schedule_length(config)` depends only on the protocol
 configuration, never on which devices exist or what they hear.  The program
+class is the protocol's whole declaration: it is built as
+`cls(device_id, config)`, takes every run parameter from the config, and
+lists in `models` the collision-detection models it is defined for, which
+`run_programs` enforces.  The program
 body is written as a generator that yields `(round_index, action)` pairs in
 strictly increasing round order and receives the slot's feedback at each
 yield; rounds it does not mention are idle.  Early termination is expressed
@@ -51,7 +55,7 @@ import gc
 import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +68,7 @@ from .channel import (
     resolve_slot,
     transmit,
 )
+from .partitions import PartitionFamily
 
 
 class ScheduleOverrun(RuntimeError):
@@ -76,10 +81,14 @@ class NonDeterminism(RuntimeError):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Static, globally known parameters of a run.
+    """Static, globally known parameters of a run: everything a program
+    reads besides its own id and what it hears.
 
     N is the size of the id space; device ids are in 1..N.  The remaining
-    fields are protocol-specific knobs and may stay None.
+    fields are protocol-specific and stay None where a protocol does not
+    read them: k is the halving trade-off's probe count, inner_election its
+    inner election ("binary_search" or "pairing"), b the dense walks' block
+    width, and family the partition trade-off's partition family.
     """
 
     model: CdModel
@@ -87,6 +96,7 @@ class ProtocolConfig:
     k: Optional[int] = None
     b: Optional[int] = None
     inner_election: Optional[str] = None
+    family: Optional[PartitionFamily] = None
 
     def __post_init__(self):
         if self.N < 1:
@@ -100,7 +110,12 @@ class Verdict:
 
 
 class DeviceProgram:
-    """Base class for device automatons; subclasses implement run()."""
+    """Base class for device automatons; subclasses implement run().
+
+    `models` lists, in CdModel order, the collision-detection models the
+    protocol is defined for."""
+
+    models: Tuple[CdModel, ...] = tuple(CdModel)
 
     def __init__(self, device_id: int, config: ProtocolConfig):
         self.device_id = device_id
@@ -132,26 +147,6 @@ class DeviceProgram:
             if fb.kind == "received":
                 self.leader_id = fb.payload
         return self.leader_id is not None
-
-
-class ProgramFactory(Protocol):
-    def __call__(self, device_id: int, config: ProtocolConfig) -> DeviceProgram: ...
-
-    def schedule_length(self, config: ProtocolConfig) -> int: ...
-
-
-class BoundFactory:
-    """Binds extra constructor arguments onto a program class."""
-
-    def __init__(self, cls, **extra):
-        self.cls = cls
-        self.extra = extra
-
-    def __call__(self, device_id: int, config: ProtocolConfig) -> DeviceProgram:
-        return self.cls(device_id, config, **self.extra)
-
-    def schedule_length(self, config: ProtocolConfig) -> int:
-        return self.cls.schedule_length(config, **self.extra)
 
 
 Event = Tuple[int, int, Action, Feedback]
@@ -254,7 +249,6 @@ class Transcript:
 @dataclass(frozen=True)
 class EnergyLedger:
     counts: Dict[int, int]
-    rounds: int
 
     @property
     def max_energy(self) -> int:
@@ -267,7 +261,7 @@ class EnergyLedger:
         for _, dev, action, _ in transcript.events:
             if action.kind != "idle":
                 counts[dev] += 1
-        return cls(counts=counts, rounds=transcript.rounds)
+        return cls(counts=counts)
 
 
 @dataclass
@@ -313,7 +307,7 @@ def check_easy_success(transcript: Transcript) -> bool:
 
 
 def run_programs(
-    factory: ProgramFactory,
+    factory: type[DeviceProgram],
     devices: Iterable[int],
     config: ProtocolConfig,
 ) -> Tuple[RunReport, Dict[int, DeviceProgram]]:
@@ -327,6 +321,11 @@ def run_programs(
         raise ValueError("device set must be nonempty")
     if ids[0] < 1 or ids[-1] > config.N:
         raise ValueError(f"device ids must lie in 1..{config.N}")
+    if config.model not in factory.models:
+        allowed = ", ".join(m.value for m in factory.models)
+        raise ValueError(
+            f"{factory.__name__} is defined for {allowed}, not {config.model.value}"
+        )
 
     total_rounds = factory.schedule_length(config)
     programs: Dict[int, DeviceProgram] = {}
@@ -408,7 +407,7 @@ def run_programs(
             events=events,
         )
         verdicts = {dev: programs[dev].finish() for dev in ids}
-        ledger = EnergyLedger(counts=counts, rounds=total_rounds)
+        ledger = EnergyLedger(counts=counts)
         report = RunReport(
             model=config.model,
             N=config.N,
@@ -428,7 +427,7 @@ def run_programs(
 
 
 def execute(
-    factory: ProgramFactory,
+    factory: type[DeviceProgram],
     devices: Iterable[int],
     config: ProtocolConfig,
     check_replay: bool = False,

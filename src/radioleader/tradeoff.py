@@ -32,7 +32,6 @@ from .protocols_core import (
     pairing_tournament_phase,
 )
 from .runtime import (
-    BoundFactory,
     DeviceProgram,
     ProtocolConfig,
     RunReport,
@@ -131,24 +130,25 @@ def choose_params(
 
 
 class PartitionTradeoffProgram(DeviceProgram):
-    """K rounds of (marking, compact knockout on part indices, announcement)."""
+    """K rounds of (marking, compact knockout on part indices, announcement)
+    over the partition family `config.family`."""
 
-    def __init__(self, device_id, config, family: PartitionFamily):
-        super().__init__(device_id, config)
-        self.family = family
+    models = (CdModel.STRONG_CD, CdModel.SENDER_CD)
 
     @classmethod
-    def schedule_length(cls, config, family: PartitionFamily) -> int:
+    def schedule_length(cls, config: ProtocolConfig) -> int:
+        family = config.family
         inner = pairing_phase_len(family.b, compact=True)
         return family.K * (family.b + inner + 1)
 
     def run(self):
-        b = self.family.b
+        family = self.config.family
+        b = family.b
         inner_len = pairing_phase_len(b, compact=True)
         span = b + inner_len + 1
-        for i in range(self.family.K):
+        for i in range(family.K):
             base = i * span
-            my_part = self.family.partitions[i].part(self.device_id)
+            my_part = family.partitions[i].part(self.device_id)
             fb = yield (base + my_part - 1, transmit(self.device_id))
             # alone in the part <=> the device hears its own message back
             marked = fb.kind == "received" and fb.payload == self.device_id
@@ -169,20 +169,14 @@ def partition_tradeoff_election(
 ) -> RunReport:
     """Run the partition trade-off; raises NoLeader when no iteration marks
     a device (cannot happen with a verified family and |V| <= n_max)."""
-    if not model.sender_side:
-        raise ValueError(
-            "the partition trade-off needs sender-side feedback "
-            "(strong_cd or sender_cd)"
-        )
     ids = sorted(set(devices))
     family = params.family
     if len(ids) > family.n_max:
         raise ValueError(
             f"the family only covers subsets up to n_max={family.n_max}, got {len(ids)}"
         )
-    config = ProtocolConfig(model=model, N=family.N, b=params.b)
-    factory = BoundFactory(PartitionTradeoffProgram, family=family)
-    report = execute(factory, ids, config, check_replay=check_replay)
+    config = ProtocolConfig(model=model, N=family.N, family=family)
+    report = execute(PartitionTradeoffProgram, ids, config, check_replay=check_replay)
     if not report.strict_success:
         raise NoLeader(
             "no partition isolated a device; the family is not good for this subset",
@@ -202,7 +196,9 @@ def strong_cd_tradeoff_election(
     """Dispatch between interval halving and the partition trade-off under
     strong_cd, picking whichever has the shorter schedule."""
     params = choose_params(N, n, k, epsilon, seed=seed)
-    partition_len = PartitionTradeoffProgram.schedule_length(None, params.family)
+    partition_len = PartitionTradeoffProgram.schedule_length(
+        ProtocolConfig(model=CdModel.STRONG_CD, N=N, family=params.family)
+    )
     halving_len = HalvingTradeoffProgram.schedule_length(
         ProtocolConfig(model=CdModel.STRONG_CD, N=N, k=k)
     )

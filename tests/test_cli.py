@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from radioleader.channel import CdModel
 from radioleader.cli import (
     AGG_HEADER,
     ATTEMPT_HEADER,
     CHECK_HEADER,
     CSV_HEADER,
+    PROGRAMS,
+    _default_model,
     main,
 )
 from radioleader.dense import choose_dense_b
@@ -69,20 +72,39 @@ def test_bad_arguments_exit_2(capsys):
     assert run_cli(capsys, "--protocol", "pairing", "--N", "8")[0] == 2
 
 
-def test_env_seed_override(capsys, monkeypatch):
+def test_seed_selects_the_subsets(capsys):
     argv = ["--protocol", "binary_search", "--N", "64", "--n", "6",
             "--trials", "4"]
     _, out_seed1, _ = run_cli(capsys, *argv, "--seed", "1")
     _, out_seed2, _ = run_cli(capsys, *argv, "--seed", "2")
     assert out_seed1 != out_seed2
 
-    monkeypatch.setenv("RADIOLEADER_SEED", "2")
-    _, out_env, _ = run_cli(capsys, *argv, "--seed", "1")
-    assert out_env == out_seed2
 
-    monkeypatch.setenv("RADIOLEADER_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2 and "RADIOLEADER_SEED" in err
+def test_default_model_is_the_weakest_declared_model():
+    assert {name: _default_model(cls).value for name, cls in PROGRAMS.items()} == {
+        "pairing": "no_cd",
+        "binary_search": "receiver_cd",
+        "halving": "strong_cd",
+        "tradeoff": "sender_cd",
+        "dense_simple": "no_cd",
+        "dense_improved": "no_cd",
+        "exponential": "no_cd",
+    }
+
+
+def test_inadmissible_model_exits_2(capsys):
+    inadmissible = {(name, m.value) for name, cls in PROGRAMS.items()
+                    for m in CdModel if m not in cls.models}
+    assert inadmissible == {
+        ("binary_search", "sender_cd"), ("binary_search", "no_cd"),
+        ("halving", "sender_cd"), ("halving", "receiver_cd"),
+        ("halving", "no_cd"),
+        ("tradeoff", "receiver_cd"), ("tradeoff", "no_cd"),
+    }
+    code, out, err = run_cli(capsys, "--protocol", "binary_search",
+                             "--N", "16", "--ids", "9,10", "--model", "no_cd")
+    assert code == 2 and out == ""
+    assert "error:" in err and "not no_cd" in err
 
 
 def test_explicit_ids(capsys):

@@ -23,7 +23,6 @@ from radioleader.dense import (
 )
 from radioleader.protocols_core import ceil_div, ceil_log2
 from radioleader.runtime import (
-    BoundFactory,
     DeviceProgram,
     ProtocolConfig,
     Verdict,
@@ -105,8 +104,7 @@ def test_census_cost():
 
     for width, present in ((8, range(1, 9)), (8, [2, 5, 8]), (16, [1, 16])):
         config = ProtocolConfig(model=NO, N=width)
-        factory = BoundFactory(_CensusProgram, lo=1, hi=width)
-        report, _ = run_programs(factory, sorted(present), config)
+        report, _ = run_programs(_CensusProgram, sorted(present), config)
         assert report.rounds <= 2 * width
         assert report.ledger.max_energy <= 2 * ceil_log2(width) + 1
 
@@ -146,18 +144,18 @@ def ref_census_phase(pos, ident, block_size, base=0):
 
 
 class _CensusWalk(DeviceProgram):
-    """One census over block [1..width], run by `walk` from round `base`."""
+    """One census over block [1..config.N], run by `walk` from round `base`."""
 
-    def __init__(self, device_id, config, walk, width, base):
-        super().__init__(device_id, config)
-        self.walk, self.width, self.base = walk, width, base
+    walk = staticmethod(census_phase)
+    base = 0
 
     @classmethod
-    def schedule_length(cls, config, walk, width, base):
-        return base + max(1, census_phase_len(width))
+    def schedule_length(cls, config):
+        return cls.base + max(1, census_phase_len(config.N))
 
     def run(self):
-        self.view = yield from self.walk(self.device_id, self.device_id, self.width, self.base)
+        self.view = yield from self.walk(
+            self.device_id, self.device_id, self.config.N, self.base)
 
     def finish(self):
         return Verdict(is_leader=False)
@@ -173,7 +171,8 @@ def test_census_phase_matches_reference_walk():
             base = rng.randrange(3)
             config = ProtocolConfig(model=NO, N=width)
             runs = [
-                run_programs(BoundFactory(_CensusWalk, walk=walk, width=width, base=base),
+                run_programs(type("Walk", (_CensusWalk,),
+                                  {"walk": staticmethod(walk), "base": base}),
                              sorted(present), config)
                 for walk in (ref_census_phase, census_phase)
             ]

@@ -1,12 +1,16 @@
 import gc
 import hashlib
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radioleader
 from radioleader.channel import Action, CdModel, resolve_slot
 from radioleader.dense import (
     census,
@@ -16,13 +20,14 @@ from radioleader.dense import (
 )
 from radioleader.partitions import Certificate, Partition, PartitionFamily
 from radioleader.protocols_core import (
+    BinarySearchElectionProgram,
+    HalvingTradeoffProgram,
     binary_search_election,
     halving_tradeoff_election,
     pairing_election,
     pairing_reduce_once,
 )
 from radioleader.runtime import (
-    BoundFactory,
     DeviceProgram,
     EnergyLedger,
     NonDeterminism,
@@ -39,7 +44,12 @@ from radioleader.runtime import (
     execute,
     run_programs,
 )
-from radioleader.tradeoff import NoLeader, choose_params, partition_tradeoff_election
+from radioleader.tradeoff import (
+    NoLeader,
+    PartitionTradeoffProgram,
+    choose_params,
+    partition_tradeoff_election,
+)
 
 NO = CdModel.NO_CD
 
@@ -273,31 +283,64 @@ def test_two_simultaneous_transmitters_is_not_easy():
     assert not report.easy_success
 
 
-def test_bound_factory_forwards_extras():
-    class Extra(DeviceProgram):
-        def __init__(self, device_id, config, flavor):
-            super().__init__(device_id, config)
-            self.flavor = flavor
-
-        @classmethod
-        def schedule_length(cls, config, flavor):
-            return len(flavor)
-
-        def run(self):
-            return
-            yield
-
-    fac = BoundFactory(Extra, flavor="abc")
-    assert fac.schedule_length(cfg(4)) == 3
-    assert fac(1, cfg(4)).flavor == "abc"
-
-
 def test_run_programs_returns_program_objects():
     prog = make_script({1: [(0, Action("transmit", 1))]}, winners={1})
     report, programs = run_programs(prog, [1], cfg(4))
     assert set(programs) == {1}
     assert programs[1].device_id == 1
     assert report.leader == 1
+
+
+def test_run_programs_rejects_a_model_the_program_does_not_declare():
+    prog = type("Picky", (make_script({1: [(0, Action("listen"))]}),),
+                {"models": (CdModel.STRONG_CD, CdModel.RECEIVER_CD)})
+    run_programs(prog, [1], cfg(4, model=CdModel.RECEIVER_CD))
+    with pytest.raises(ValueError, match="Picky is defined for strong_cd, "
+                                         "receiver_cd, not no_cd"):
+        run_programs(prog, [1], cfg(4))
+
+
+def _package_programs():
+    """Every DeviceProgram subclass defined in a radioleader module."""
+    found = []
+    for info in pkgutil.iter_modules(radioleader.__path__):
+        module = importlib.import_module(f"radioleader.{info.name}")
+        found += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, DeviceProgram)
+            and obj.__module__ == module.__name__
+        ]
+    return sorted(found, key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", _package_programs(), ids=lambda c: c.__name__)
+def test_program_class_is_the_whole_declaration(cls):
+    # built from (id, config) alone, scheduled from the config alone, and
+    # defined for a nonempty list of models in CdModel order
+    assert list(inspect.signature(cls).parameters) == ["device_id", "config"]
+    assert list(inspect.signature(cls.schedule_length).parameters) == ["config"]
+    order = list(CdModel)
+    assert cls.models and all(isinstance(m, CdModel) for m in cls.models)
+    assert list(cls.models) == sorted(set(cls.models), key=order.index)
+
+
+MODEL_DRIVERS = {
+    BinarySearchElectionProgram: partial(binary_search_election, [1, 2], 16),
+    HalvingTradeoffProgram: lambda model: halving_tradeoff_election(
+        [1, 2], 16, 2, model=model),
+    PartitionTradeoffProgram: lambda model: partition_tradeoff_election(
+        [1, 2], choose_params(16, 2, 4, 0.5, family=_golden_family(16)), model=model),
+}
+
+
+@pytest.mark.parametrize("cls,model", [
+    pytest.param(cls, m, id=f"{cls.__name__}-{m.value}")
+    for cls in MODEL_DRIVERS for m in CdModel if m not in cls.models
+])
+def test_driver_rejects_an_inadmissible_model(cls, model):
+    with pytest.raises(ValueError,
+                       match=f"{cls.__name__} is defined for .*, not {model.value}"):
+        MODEL_DRIVERS[cls](model)
 
 
 def test_run_restores_the_collector_state():
@@ -446,7 +489,7 @@ def _golden_runs():
                         partial(dense_simple_election, ids, N, b, model=m)
                     yield f"dense_improved {m.value} b={b}", \
                         partial(dense_improved_election, ids, N, b, model=m)
-            for m in (CdModel.STRONG_CD, CdModel.RECEIVER_CD):
+            for m in BinarySearchElectionProgram.models:
                 yield f"binary_search {m.value}", \
                     partial(binary_search_election, ids, N, model=m)
             for k in (1, 2, 3):
@@ -456,7 +499,7 @@ def _golden_runs():
             if N in GOLDEN_TRADEOFF_K:
                 params = choose_params(N, 2, GOLDEN_TRADEOFF_K[N], 0.5,
                                        family=_golden_family(N))
-                for m in (CdModel.STRONG_CD, CdModel.SENDER_CD):
+                for m in PartitionTradeoffProgram.models:
                     yield f"tradeoff {m.value}", \
                         partial(partition_tradeoff_election, ids, params, model=m)
 

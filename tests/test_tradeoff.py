@@ -6,7 +6,7 @@ import pytest
 from radioleader.channel import CdModel
 from radioleader.partitions import Certificate, Partition, PartitionFamily, generate_family
 from radioleader.protocols_core import ceil_log2, pairing_phase_len
-from radioleader.runtime import NonDeterminism
+from radioleader.runtime import NonDeterminism, ProtocolConfig
 from radioleader.tradeoff import (
     InvalidParams,
     NoLeader,
@@ -232,7 +232,8 @@ def test_winner_ends_the_run_early():
 def test_schedule_length_formula():
     fam = small_family()
     expected = fam.K * (fam.b + pairing_phase_len(fam.b, compact=True) + 1)
-    assert PartitionTradeoffProgram.schedule_length(None, fam) == expected
+    config = ProtocolConfig(model=SE, N=fam.N, family=fam)
+    assert PartitionTradeoffProgram.schedule_length(config) == expected
     assert expected == fam.K * 2 * fam.b
 
 

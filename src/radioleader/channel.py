@@ -15,13 +15,21 @@ the collision-detection capabilities of the model:
 
 A message is delivered if and only if exactly one device transmits.  Idle
 devices never learn anything.
+
+`resolve_slot` makes one pass over the actions that counts transmitters and
+keeps the last payload seen.  It then hands every listener one shared
+feedback object, and every transmitter another: the module's SILENCE,
+COLLISION and NO_FEEDBACK, or one `received(payload)` for the whole slot.
+The model is matched by identity against module constants, not through the
+`sender_side` / `receiver_side` properties, which cost a method call each.
+The runtime calls it once per occupied slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Tuple, Union
 
 # Message payloads are decimal integers or tuples of integers; tuples are
 # used for membership lists.  Keeping the domain this small keeps transcript
@@ -114,11 +122,16 @@ def received(payload: Payload) -> Feedback:
     return Feedback("received", payload)
 
 
-@dataclass(frozen=True, slots=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     feedback: Mapping[int, Feedback]
     transmitter_count: int
     delivered: Optional[Payload]
+
+
+_outcome = tuple.__new__  # builds a SlotOutcome without its Python __new__
+_STRONG_CD = CdModel.STRONG_CD
+_SENDER_CD = CdModel.SENDER_CD
+_RECEIVER_CD = CdModel.RECEIVER_CD
 
 
 def resolve_slot(model: CdModel, actions: Mapping[int, Action]) -> SlotOutcome:
@@ -128,32 +141,41 @@ def resolve_slot(model: CdModel, actions: Mapping[int, Action]) -> SlotOutcome:
     on (model, actions).  `delivered` carries the payload when exactly one
     device transmitted, else None.
     """
-    transmitters = [d for d, a in actions.items() if a.kind == "transmit"]
-    c = len(transmitters)
-    delivered = actions[transmitters[0]].payload if c == 1 else None
+    c = 0
+    delivered = None
+    for action in actions.values():
+        if action.kind == "transmit":
+            c += 1
+            delivered = action.payload
 
     if c == 0:
         listener_fb = SILENCE
-    elif c == 1:
-        listener_fb = received(delivered)
-    else:
-        listener_fb = COLLISION if model.receiver_side else SILENCE
-
-    if c == 1:
-        sender_fb = received(delivered) if model.sender_side else NO_FEEDBACK
-    elif model is CdModel.STRONG_CD:
-        sender_fb = COLLISION
-    elif model is CdModel.SENDER_CD:
-        sender_fb = SILENCE
-    else:
         sender_fb = NO_FEEDBACK
+    elif c == 1:
+        if model is _STRONG_CD or model is _SENDER_CD:
+            listener_fb = sender_fb = received(delivered)
+        else:
+            sender_fb = NO_FEEDBACK
+            # a lone transmitter with nobody else in the slot needs no copy
+            listener_fb = received(delivered) if len(actions) > 1 else None
+    else:
+        delivered = None
+        if model is _STRONG_CD:
+            listener_fb = sender_fb = COLLISION
+        elif model is _SENDER_CD:
+            listener_fb = sender_fb = SILENCE
+        elif model is _RECEIVER_CD:
+            listener_fb, sender_fb = COLLISION, NO_FEEDBACK
+        else:
+            listener_fb, sender_fb = SILENCE, NO_FEEDBACK
 
     feedback = {}
-    for dev, act in actions.items():
-        if act.kind == "listen":
+    for dev, action in actions.items():
+        kind = action.kind
+        if kind == "listen":
             feedback[dev] = listener_fb
-        elif act.kind == "transmit":
+        elif kind == "transmit":
             feedback[dev] = sender_fb
         else:
             feedback[dev] = NO_FEEDBACK
-    return SlotOutcome(feedback=feedback, transmitter_count=c, delivered=delivered)
+    return _outcome(SlotOutcome, (feedback, c, delivered))

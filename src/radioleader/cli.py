@@ -30,11 +30,12 @@ from .dense import (
     exponential_search_election,
 )
 from .lowerbound import (
-    canonical_sequence,
+    STRONG_STYLE,
+    canonical_sequences,
+    first_duplicate,
     matching_count,
     potential_active_slots,
     sequence_budget,
-    uniqueness_check,
 )
 from .partitions import load_family
 from .protocols_core import (
@@ -337,14 +338,13 @@ def run_checks(args) -> List[Record]:
     rows = []
     for name, factory, config in _checker_factories(args):
         t = factory.schedule_length(config)
-        pair = uniqueness_check(factory, config)
+        seqs = list(canonical_sequences(factory, config, STRONG_STYLE))
+        pair = first_duplicate(seqs)
         rows.append(_record(
             CHECK_HEADER, "uniqueness", name, str(config.N), "", str(t),
             "ok" if pair is None else "violation",
             "" if pair is None else f"{pair.id_a}|{pair.id_b}",
         ))
-        seqs = [canonical_sequence(factory, i, config, style="strong")
-                for i in range(1, config.N + 1)]
         k_meas = max(len(s) - s.count("I") for s in seqs)
         budget = sequence_budget(t, k_meas)
         rows.append(_record(

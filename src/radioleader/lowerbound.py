@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .channel import COLLISION, NO_FEEDBACK, SILENCE, Feedback
 from .runtime import DeviceProgram, ProtocolConfig, Verdict
@@ -69,17 +69,29 @@ class ViolationPair:
     sequence: str
 
 
-def uniqueness_check(factory, config: ProtocolConfig,
-                     style: str = STRONG_STYLE) -> Optional[ViolationPair]:
-    """Return the first pair of ids in [1..N] with identical canonical
-    sequences, or None when all N sequences differ."""
-    seen = {}
+def canonical_sequences(factory, config: ProtocolConfig,
+                        style: str = RECEIVER_STYLE) -> Iterator[str]:
+    """The canonical sequences of ids 1..N in id order, made one at a time."""
     for ident in range(1, config.N + 1):
-        seq = canonical_sequence(factory, ident, config, style=style)
+        yield canonical_sequence(factory, ident, config, style=style)
+
+
+def first_duplicate(sequences: Iterable[str]) -> Optional[ViolationPair]:
+    """The first pair of ids with identical sequences, where the i-th
+    sequence belongs to id i + 1, or None when all of them differ."""
+    seen = {}
+    for ident, seq in enumerate(sequences, 1):
         if seq in seen:
             return ViolationPair(seen[seq], ident, seq)
         seen[seq] = ident
     return None
+
+
+def uniqueness_check(factory, config: ProtocolConfig,
+                     style: str = STRONG_STYLE) -> Optional[ViolationPair]:
+    """Return the first pair of ids in [1..N] with identical canonical
+    sequences, or None when all N sequences differ."""
+    return first_duplicate(canonical_sequences(factory, config, style))
 
 
 def _masks(sequence: str) -> Tuple[int, int]:

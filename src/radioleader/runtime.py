@@ -21,14 +21,23 @@ scale writing them out would dwarf everything else.
 
 The schedule holds one bucket of offers per occupied round and one heap
 entry per such round, so a slot costs one heap operation however many
-devices share it.  Each slot's offers are resolved and recorded in
-ascending device order.  The cyclic garbage collector is paused for the
-duration of a run: a run allocates hundreds of thousands of containers
-(event tuples, actions, feedback, generator frames) that form no cycles,
-and the generational collector would traverse all of them again each time
-the surviving objects grow by a quarter, so the cost of a run would grow
-faster than its event count.  The collector is re-enabled on the way out
-only if it was enabled on entry.
+devices share it.  A slot is resolved by one `resolve_slot` call over its
+bucket, sorted into ascending device order (a bucket of one offer needs no
+sort).  Then, device by device in that order, the executor records the
+event, resumes the program with its feedback, and checks and buckets its
+next offer right there in the slot loop.  A program's first offer takes
+the same path: the run opens with a round -1 in which every device is
+resumed with None.  Device ids are plain ints: ids that `operator.index`
+accepts are converted, and bools and other non-integers are rejected
+before the run starts.
+
+The cyclic garbage collector is paused for the duration of a run: a run
+allocates hundreds of thousands of containers (event tuples, actions,
+feedback, generator frames) that form no cycles, and the generational
+collector would traverse all of them again each time the surviving objects
+grow by a quarter, so the cost of a run would grow faster than its event
+count.  The collector is re-enabled on the way out only if it was enabled
+on entry.
 
 Energy is the number of non-idle slots per device; idling is free.
 
@@ -52,9 +61,9 @@ take the per-byte loop.
 from __future__ import annotations
 
 import gc
-import heapq
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -306,6 +315,16 @@ def check_easy_success(transcript: Transcript) -> bool:
     return False
 
 
+def _device_id(dev) -> int:
+    """A device id as a plain int: bools and non-integers are rejected."""
+    if not isinstance(dev, bool):
+        try:
+            return index(dev)
+        except TypeError:
+            pass
+    raise ValueError(f"device ids must be integers, not {dev!r}")
+
+
 def run_programs(
     factory: type[DeviceProgram],
     devices: Iterable[int],
@@ -316,7 +335,7 @@ def run_programs(
     The program objects let phase-level drivers read protocol state that a
     Verdict does not carry (survivor sets, census views, ...).
     """
-    ids = sorted(set(devices))
+    ids = sorted({d if type(d) is int else _device_id(d) for d in devices})
     if not ids:
         raise ValueError("device set must be nonempty")
     if ids[0] < 1 or ids[-1] > config.N:
@@ -328,76 +347,71 @@ def run_programs(
         )
 
     total_rounds = factory.schedule_length(config)
-    programs: Dict[int, DeviceProgram] = {}
-    gens: Dict[int, object] = {}
     slots: Dict[int, List[Tuple[int, Action]]] = {}
     rounds: List[int] = []
-
-    def take_offer(dev: int, item, prev_round: int):
-        if item is None:
-            return
-        if (
-            not isinstance(item, tuple)
-            or len(item) != 2
-            or not isinstance(item[0], int)
-            or not isinstance(item[1], Action)
-        ):
-            raise ScheduleOverrun(f"device {dev} yielded malformed slot {item!r}")
-        rnd, action = item
-        if action.kind not in ("listen", "transmit"):
-            raise ScheduleOverrun(
-                f"device {dev} yielded action kind {action.kind!r}; "
-                "only 'listen' and 'transmit' may be offered"
-            )
-        if rnd <= prev_round or rnd >= total_rounds:
-            raise ScheduleOverrun(
-                f"device {dev} requested round {rnd} outside its schedule "
-                f"(previous {prev_round}, length {total_rounds})"
-            )
-        bucket = slots.get(rnd)
-        if bucket is None:
-            slots[rnd] = [(dev, action)]
-            heapq.heappush(rounds, rnd)
-        else:
-            bucket.append((dev, action))
+    events: List[Event] = []
+    counts = {dev: 0 for dev in ids}
+    easy = False
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for dev in ids:
-            prog = factory(dev, config)
-            programs[dev] = prog
-            gen = prog.run()
-            gens[dev] = gen
-            try:
-                first = next(gen)
-            except StopIteration:
-                first = None
-            take_offer(dev, first, -1)
-
-        events: List[Event] = []
-        counts = {dev: 0 for dev in ids}
-        easy = False
-
-        while rounds:
-            rnd = heapq.heappop(rounds)
+        programs = {dev: factory(dev, config) for dev in ids}
+        gens = {dev: prog.run() for dev, prog in programs.items()}
+        # Round -1 starts every program: sending None is the first next().
+        rnd = -1
+        bucket = [(dev, None) for dev in ids]
+        feedback = dict.fromkeys(ids)
+        while True:
+            for dev, action in bucket:
+                fb = feedback[dev]
+                if action is not None:
+                    events.append((rnd, dev, action, fb))
+                    counts[dev] += 1
+                try:
+                    item = gens[dev].send(fb)
+                except StopIteration:
+                    continue
+                if item is None:
+                    continue
+                if (
+                    not isinstance(item, tuple)
+                    or len(item) != 2
+                    or not isinstance(item[0], int)
+                    or not isinstance(item[1], Action)
+                ):
+                    raise ScheduleOverrun(
+                        f"device {dev} yielded malformed slot {item!r}"
+                    )
+                nxt, offer = item
+                if offer.kind not in ("listen", "transmit"):
+                    raise ScheduleOverrun(
+                        f"device {dev} yielded action kind {offer.kind!r}; "
+                        "only 'listen' and 'transmit' may be offered"
+                    )
+                if nxt <= rnd or nxt >= total_rounds:
+                    raise ScheduleOverrun(
+                        f"device {dev} requested round {nxt} outside its "
+                        f"schedule (previous {rnd}, length {total_rounds})"
+                    )
+                offers = slots.get(nxt)
+                if offers is None:
+                    slots[nxt] = [(dev, offer)]
+                    heappush(rounds, nxt)
+                else:
+                    offers.append((dev, offer))
+            if not rounds:
+                break
+            rnd = heappop(rounds)
             bucket = slots.pop(rnd)
-            bucket.sort(key=_device)
+            if len(bucket) > 1:
+                bucket.sort(key=_device)
             outcome = resolve_slot(config.model, dict(bucket))
+            feedback = outcome.feedback
             if not easy and outcome.transmitter_count == 1 and any(
                 a.kind == "listen" for _, a in bucket
             ):
                 easy = True
-            feedback = outcome.feedback
-            for dev, action in bucket:
-                fb = feedback[dev]
-                events.append((rnd, dev, action, fb))
-                counts[dev] += 1
-                try:
-                    item = gens[dev].send(fb)
-                except StopIteration:
-                    item = None
-                take_offer(dev, item, rnd)
 
         transcript = Transcript(
             model=config.model,

@@ -169,7 +169,7 @@ def partition_tradeoff_election(
 ) -> RunReport:
     """Run the partition trade-off; raises NoLeader when no iteration marks
     a device (cannot happen with a verified family and |V| <= n_max)."""
-    ids = sorted(set(devices))
+    ids = set(devices)
     family = params.family
     if len(ids) > family.n_max:
         raise ValueError(

@@ -147,3 +147,71 @@ def test_resolve_slot_total_and_deterministic(kinds, model):
     listener_fb = {a.feedback[d] for d, act in actions.items() if act.kind == "listen"}
     assert len(listener_fb) <= 1
     assert (a.delivered is not None) == (a.transmitter_count == 1)
+
+
+def reference_resolve_slot(model, actions):
+    """The straightforward resolution resolve_slot must agree with: list the
+    transmitters, then pick feedback through the model's properties."""
+    transmitters = [d for d, a in actions.items() if a.kind == "transmit"]
+    c = len(transmitters)
+    delivered = actions[transmitters[0]].payload if c == 1 else None
+
+    if c == 0:
+        listener_fb = SILENCE
+    elif c == 1:
+        listener_fb = received(delivered)
+    else:
+        listener_fb = COLLISION if model.receiver_side else SILENCE
+
+    if c == 1:
+        sender_fb = received(delivered) if model.sender_side else NO_FEEDBACK
+    elif model is CdModel.STRONG_CD:
+        sender_fb = COLLISION
+    elif model is CdModel.SENDER_CD:
+        sender_fb = SILENCE
+    else:
+        sender_fb = NO_FEEDBACK
+
+    feedback = {}
+    for dev, act in actions.items():
+        if act.kind == "listen":
+            feedback[dev] = listener_fb
+        elif act.kind == "transmit":
+            feedback[dev] = sender_fb
+        else:
+            feedback[dev] = NO_FEEDBACK
+    return feedback, c, delivered
+
+
+_payload = st.one_of(
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**6), max_size=4).map(tuple),
+)
+_any_action = st.one_of(
+    st.just(IDLE),
+    st.just(LISTEN),
+    _payload.map(transmit),
+)
+
+
+@given(
+    actions=st.dictionaries(st.integers(1, 50), _any_action, max_size=6),
+    model=st.sampled_from(list(CdModel)),
+)
+def test_resolve_slot_matches_reference(actions, model):
+    out = resolve_slot(model, actions)
+    feedback, c, delivered = reference_resolve_slot(model, actions)
+    assert list(out.feedback) == list(feedback)
+    for dev, fb in feedback.items():
+        got = out.feedback[dev]
+        assert (got.kind, got.payload) == (fb.kind, fb.payload), (model, dev)
+    assert out.transmitter_count == c
+    assert out.delivered == delivered
+
+
+def test_slot_outcome_repr():
+    out = resolve_slot(N, {1: LISTEN})
+    assert repr(out) == (
+        "SlotOutcome(feedback={1: Feedback(kind='silence', payload=None)}, "
+        "transmitter_count=0, delivered=None)"
+    )

@@ -8,6 +8,8 @@ from radioleader.lowerbound import (
     IdObliviousProgram,
     ViolationPair,
     canonical_sequence,
+    canonical_sequences,
+    first_duplicate,
     matching_count,
     potential_active_slots,
     sequence_budget,
@@ -106,6 +108,17 @@ def test_uniqueness_flags_id_oblivious_program():
 def test_idle_program_is_flagged_too():
     violation = uniqueness_check(IdleProgram, cfg(3))
     assert violation == ViolationPair(1, 2, "III")
+
+
+def test_first_duplicate_over_canonical_sequences():
+    seqs = list(canonical_sequences(BinarySearchElectionProgram, cfg(8), STRONG_STYLE))
+    assert seqs == [
+        canonical_sequence(BinarySearchElectionProgram, i, cfg(8), STRONG_STYLE)
+        for i in range(1, 9)
+    ]
+    assert first_duplicate(seqs) is None
+    # ids count from 1, and the earliest repeat wins
+    assert first_duplicate(["LT", "TL", "TT", "TL", "LT"]) == ViolationPair(2, 4, "TL")
 
 
 # --- matching counts ------------------------------------------------------

@@ -1,8 +1,6 @@
 import itertools
 import random
 
-import pytest
-
 from radioleader.channel import CdModel
 from radioleader.protocols_core import (
     binary_search_election,
@@ -15,7 +13,7 @@ from radioleader.protocols_core import (
     pairing_reduce_once,
 )
 
-ST, RC, NO = CdModel.STRONG_CD, CdModel.RECEIVER_CD, CdModel.NO_CD
+ST, RC = CdModel.STRONG_CD, CdModel.RECEIVER_CD
 
 
 # --- independent reference models (set-level recursions, no channel) -------
@@ -176,13 +174,6 @@ def test_binary_search_rounds_and_energy():
         assert report.ledger.max_energy <= ceil_log2(N) + 1
 
 
-def test_binary_search_requires_receiver_side_feedback():
-    with pytest.raises(ValueError):
-        binary_search_election([1, 2], 4, model=NO)
-    with pytest.raises(ValueError):
-        binary_search_election([1, 2], 4, model=CdModel.SENDER_CD)
-
-
 # --- halving trade-off ------------------------------------------------------
 
 
@@ -238,11 +229,6 @@ def test_halving_pairing_inner_variant():
     report = halving_tradeoff_election([9, 10, 14], 16, 2, inner_election="pairing")
     assert report.strict_success
     assert report.leader == 9  # pairing also elects the minimum
-
-
-def test_halving_requires_strong_cd():
-    with pytest.raises(ValueError):
-        halving_tradeoff_election([1, 2], 8, 2, model=RC)
 
 
 # --- shared properties ------------------------------------------------------

@@ -5,13 +5,16 @@ import inspect
 import itertools
 import pkgutil
 import random
+import re
 from functools import partial
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import radioleader
-from radioleader.channel import Action, CdModel, resolve_slot
+from radioleader.channel import IDLE, LISTEN, Action, CdModel, resolve_slot, transmit
 from radioleader.dense import (
     census,
     dense_improved_election,
@@ -68,8 +71,8 @@ class ScriptProgram(DeviceProgram):
         return cls.length
 
     def run(self):
-        for rnd, action in self.script.get(self.device_id, []):
-            yield (rnd, action)
+        for item in self.script.get(self.device_id, []):
+            yield item
 
     def finish(self):
         return Verdict(is_leader=self.device_id in self.winners)
@@ -126,6 +129,64 @@ def test_explicit_idle_yield_rejected():
         prog = make_script({1: [(0, Action(kind, 1))]}, length=2)
         with pytest.raises(ScheduleOverrun, match=f"device 1 .*'{kind}'"):
             execute(prog, [1], cfg(4))
+
+
+# Each malformed offer, made from the previous round of its device, with
+# the message it must raise.
+BAD_OFFERS = {
+    "non-tuple": (lambda prev: [prev + 1, LISTEN], "yielded malformed slot"),
+    "wrong length": (lambda prev: (prev + 1, LISTEN, 0), "yielded malformed slot"),
+    "non-int round": (lambda prev: (prev + 1.0, LISTEN), "yielded malformed slot"),
+    "non-Action": (lambda prev: (prev + 1, "listen"), "yielded malformed slot"),
+    "idle": (lambda prev: (prev + 1, IDLE), "yielded action kind 'idle'"),
+    "typo": (lambda prev: (prev + 1, Action("tranmsit", 3)),
+             "yielded action kind 'tranmsit'"),
+    "not after previous": (lambda prev: (prev, LISTEN),
+                           r"requested round {prev} outside its schedule "
+                           r"\(previous {prev}, length 4\)"),
+    "past the end": (lambda prev: (4, LISTEN),
+                     r"requested round 4 outside its schedule "
+                     r"\(previous {prev}, length 4\)"),
+}
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
+@pytest.mark.parametrize("case", list(BAD_OFFERS))
+def test_every_bad_offer_is_rejected(case, first):
+    # device 2 behaves; device 3 makes the bad offer as its first offer or
+    # after listening in round 1, and the error names device 3
+    make_offer, message = BAD_OFFERS[case]
+    prev = -1 if first else 1
+    script = {2: [(1, transmit(2))],
+              3: [make_offer(prev)] if first else [(1, LISTEN), make_offer(prev)]}
+    with pytest.raises(ScheduleOverrun,
+                       match="device 3 " + message.format(prev=prev)):
+        execute(make_script(script), [2, 3], cfg(4))
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "3"])
+def test_device_ids_must_be_integers(bad):
+    with pytest.raises(ValueError,
+                       match=f"device ids must be integers, not {re.escape(repr(bad))}"):
+        execute(make_script({}), [bad, 2], cfg(4))
+
+
+class Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_like_device_ids_run_as_ints():
+    prog = make_script({1: [(0, transmit(1))], 2: [(0, LISTEN)]}, winners={1})
+    plain = execute(prog, [1, 2], cfg(4))
+    for ids in ([np.int64(2), 1], [Index(1), Index(2)]):
+        report = execute(prog, ids, cfg(4))
+        assert report.device_ids == (1, 2)
+        assert all(type(dev) is int for dev in report.device_ids)
+        assert report.transcript_hash == plain.transcript_hash
 
 
 def test_replay_check_catches_run_to_run_state():

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 
@@ -17,12 +16,7 @@ from radioleader.tradeoff import (
     strong_cd_tradeoff_election,
 )
 
-SC, SE, RC, NO = (
-    CdModel.STRONG_CD,
-    CdModel.SENDER_CD,
-    CdModel.RECEIVER_CD,
-    CdModel.NO_CD,
-)
+SC, SE = CdModel.STRONG_CD, CdModel.SENDER_CD
 
 
 def small_family():
@@ -133,13 +127,6 @@ def test_partition_tradeoff_same_leader_under_both_sender_models():
         a = partition_tradeoff_election(subset, params, model=SE)
         b = partition_tradeoff_election(subset, params, model=SC)
         assert a.leader == b.leader
-
-
-def test_partition_tradeoff_needs_sender_side():
-    params = choose_params(16, 2, 4, 0.5, family=small_family())
-    for model in (RC, NO):
-        with pytest.raises(ValueError):
-            partition_tradeoff_election([3, 11], params, model=model)
 
 
 def test_partition_tradeoff_enforces_n_max():

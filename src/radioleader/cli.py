@@ -236,7 +236,8 @@ def _run_one(args, model: CdModel, devices: List[int],
                                                  model=model)
         except NoLeader as exc:
             report = exc.report
-        return report, str(tradeoff_params.b), str(tradeoff_params.K)
+        family = tradeoff_params.family
+        return report, str(family.b), str(family.K)
     if proto in ("dense_simple", "dense_improved"):
         b = args.b if args.b is not None else choose_dense_b(N, len(devices))
         run = (dense_simple_election if proto == "dense_simple"
@@ -335,6 +336,9 @@ def _checker_factories(args):
 
 
 def run_checks(args) -> List[Record]:
+    if args.N > 1 << 14:
+        # pairing alone holds N canonical sequences of about N slots each
+        raise ValueError("--checks refuses N > 2^14 (N^2 memory)")
     rows = []
     for name, factory, config in _checker_factories(args):
         t = factory.schedule_length(config)

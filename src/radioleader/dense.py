@@ -50,6 +50,7 @@ from .runtime import (
     DeviceProgram,
     ProtocolConfig,
     RunReport,
+    _device_id,
     execute,
     run_programs,
 )
@@ -157,20 +158,19 @@ class _CensusProgram(DeviceProgram):
         )
 
 
-def census(
-    lo: int, hi: int, present, model: CdModel = CdModel.NO_CD
-) -> CensusResult:
+def census(lo: int, hi: int, present) -> CensusResult:
     """Standalone census over the id range [lo..hi]; `present` is the set of
     ids that actually exist there.  Every present device ends up knowing the
     same ascending member list, its own index, and the size.  The run
-    itself sees the ids shifted to [1..hi - lo + 1]."""
-    ids = sorted(set(present))
+    itself sees the ids shifted to [1..hi - lo + 1], under no_cd: a slot
+    has one transmitter at most, so no model changes it."""
+    ids = sorted({_device_id(d) for d in present})
     if not ids:
         return CensusResult(members=())
     if ids[0] < lo or ids[-1] > hi:
         raise ValueError(f"present ids must lie in [{lo}, {hi}]")
     shifted = tuple(i - lo + 1 for i in ids)
-    config = ProtocolConfig(model=model, N=hi - lo + 1)
+    config = ProtocolConfig(model=CdModel.NO_CD, N=hi - lo + 1)
     _, programs = run_programs(_CensusProgram, shifted, config)
     for dev, prog in programs.items():
         if prog.view != (shifted, shifted.index(dev) + 1, len(shifted)):
@@ -332,23 +332,23 @@ class DenseImprovedProgram(_DenseProgram):
     phase_len = staticmethod(dense_improved_phase_len)
 
 
-def _dense_election(program_cls, devices, N, b, model, check_replay):
+def _dense_election(program_cls, devices, N, b, model):
     if b < 1:
         raise ValueError("block width b must be >= 1")
     config = ProtocolConfig(model=model, N=N, b=b)
-    return execute(program_cls, devices, config, check_replay=check_replay)
+    return execute(program_cls, devices, config)
 
 
 def dense_simple_election(
-    devices, N: int, b: int, model: CdModel = CdModel.NO_CD, check_replay: bool = False
+    devices, N: int, b: int, model: CdModel = CdModel.NO_CD
 ) -> RunReport:
-    return _dense_election(DenseSimpleProgram, devices, N, b, model, check_replay)
+    return _dense_election(DenseSimpleProgram, devices, N, b, model)
 
 
 def dense_improved_election(
-    devices, N: int, b: int, model: CdModel = CdModel.NO_CD, check_replay: bool = False
+    devices, N: int, b: int, model: CdModel = CdModel.NO_CD
 ) -> RunReport:
-    return _dense_election(DenseImprovedProgram, devices, N, b, model, check_replay)
+    return _dense_election(DenseImprovedProgram, devices, N, b, model)
 
 
 def choose_dense_b(N: int, n: int) -> int:
@@ -485,12 +485,8 @@ def _attempt_summaries(report: RunReport) -> Tuple[AttemptSummary, ...]:
     )
 
 
-def exponential_search_election(
-    devices, N: int, model: CdModel, check_replay: bool = False
-) -> RunReport:
+def exponential_search_election(devices, N: int, model: CdModel) -> RunReport:
     config = ProtocolConfig(model=model, N=N)
-    report = execute(
-        ExponentialSearchProgram, devices, config, check_replay=check_replay
-    )
+    report = execute(ExponentialSearchProgram, devices, config)
     report.attempts = _attempt_summaries(report)
     return report

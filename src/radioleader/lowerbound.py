@@ -87,11 +87,10 @@ def first_duplicate(sequences: Iterable[str]) -> Optional[ViolationPair]:
     return None
 
 
-def uniqueness_check(factory, config: ProtocolConfig,
-                     style: str = STRONG_STYLE) -> Optional[ViolationPair]:
-    """Return the first pair of ids in [1..N] with identical canonical
-    sequences, or None when all N sequences differ."""
-    return first_duplicate(canonical_sequences(factory, config, style))
+def uniqueness_check(factory, config: ProtocolConfig) -> Optional[ViolationPair]:
+    """Return the first pair of ids in [1..N] with identical strong-style
+    canonical sequences, or None when all N sequences differ."""
+    return first_duplicate(canonical_sequences(factory, config, STRONG_STYLE))
 
 
 def _masks(sequence: str) -> Tuple[int, int]:
@@ -108,11 +107,12 @@ def _masks(sequence: str) -> Tuple[int, int]:
 
 
 def matching_count(sequences: Sequence[str], k: int,
-                   trials: Optional[int] = None, seed: int = 0) -> int:
+                   trials: Optional[int] = None) -> int:
     """Max over pattern words w in {L,T}^t of how many sequences match w,
     where a sequence matches iff every non-idle position agrees with w.
 
-    Exhaustive for t <= 20 (or when trials is None); otherwise sampled.
+    Exhaustive when trials is None (needs t <= 20); otherwise a lower
+    bound from `trials` words drawn with random.Random(0).
     Sequences must share one length t and have <= k non-idle positions."""
     if not sequences:
         return 0
@@ -142,7 +142,7 @@ def matching_count(sequences: Sequence[str], k: int,
                 sub = (sub - 1) & free
         return max(counts)
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     best = 0
     for _ in range(trials):
         w = rng.getrandbits(t)

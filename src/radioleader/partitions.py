@@ -15,10 +15,9 @@ with seed+1 on failure.  The stream is position-indexed,
     part_of(partition i, id x) = 1 + value(seed, i*N + x - 1) mod b
 
 with mix64 the standard splitmix64 finalizer, so generation is reproducible
-from (seed, N, b, K) alone, in any order and under any parallel split.  The
-PRNG identifier is `splitmix64`; serialized families carry the explicit part
-assignments, so files stay portable even across implementations that never
-heard of the stream.
+from (seed, N, b, K) alone, in any order and under any parallel split.
+Serialized families carry the explicit part assignments, so files stay
+portable even across implementations that never heard of the stream.
 
 Verification is exhaustive (all subsets, within a work budget) or sampled
 (`trials` uniform subsets per size m = 1..min(n_max, N)).  Sampled subsets
@@ -52,7 +51,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-PRNG_ALGORITHM = "splitmix64"
+C_CONST = 8  # the constant c of family_size's K = ceil((c / epsilon) log_b N)
+EXHAUSTIVE_BUDGET = 10**7  # most subsets verify_family walks exhaustively
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _BATCH_IDS = 1 << 16  # ids per sampled batch, so memory stays flat in n_max
@@ -138,7 +138,7 @@ class VerifyResult:
     counterexample: Optional[Tuple[int, ...]]
 
 
-def family_size(N: int, b: int, epsilon_tilde: float, c_const: int = 8) -> int:
+def family_size(N: int, b: int, epsilon_tilde: float, c_const: int = C_CONST) -> int:
     if b < 2:
         raise ValueError("families need b >= 2 parts")
     if not (0.0 < epsilon_tilde < 1.0):
@@ -209,19 +209,18 @@ def verify_family(
     mode: str = "auto",
     trials: int = 10**5,
     rng_seed: int = 0,
-    budget: int = 10**7,
 ) -> VerifyResult:
     """Check the covering property for all subset sizes 1..n_max.
 
-    mode 'exhaustive' walks every subset (requires the total count to fit
-    the work budget), 'sampled' draws `trials` >= 1 uniform subsets per
-    size (see the module docstring), 'auto' picks exhaustive when
-    affordable.  The first failing subset is returned as the
-    counterexample."""
+    mode 'exhaustive' walks every subset (at most EXHAUSTIVE_BUDGET of
+    them), 'sampled' draws `trials` >= 1 uniform subsets per size (see the
+    module docstring), 'auto' picks exhaustive when affordable.  The
+    first failing subset is returned as the counterexample."""
+    affordable = exhaustive_budget(family.N, family.n_max) <= EXHAUSTIVE_BUDGET
     if mode == "auto":
-        mode = "exhaustive" if exhaustive_budget(family.N, family.n_max) <= budget else "sampled"
+        mode = "exhaustive" if affordable else "sampled"
     if mode == "exhaustive":
-        if exhaustive_budget(family.N, family.n_max) > budget:
+        if not affordable:
             raise ValueError("exhaustive verification exceeds the work budget")
         for m in range(1, family.n_max + 1):
             for subset in combinations(range(1, family.N + 1), m):
@@ -254,11 +253,9 @@ def generate_family(
     epsilon_tilde: float,
     n_max: int,
     seed: int = 0,
-    c_const: int = 8,
     max_retries: int = 8,
     verify_mode: str = "auto",
     trials: int = 10**5,
-    budget: int = 10**7,
 ) -> PartitionFamily:
     """Draw and verify a good family; Las Vegas with seed+1 retries.
 
@@ -270,7 +267,7 @@ def generate_family(
         raise ValueError(
             f"n_max={n_max} exceeds b^(1-epsilon_tilde)={b ** (1.0 - epsilon_tilde):.3f}"
         )
-    K = family_size(N, b, epsilon_tilde, c_const)
+    K = family_size(N, b, epsilon_tilde)
     for attempt in range(max_retries):
         attempt_seed = seed + attempt
         family = PartitionFamily(
@@ -280,11 +277,11 @@ def generate_family(
             epsilon_tilde=epsilon_tilde,
             n_max=n_max,
             seed=attempt_seed,
-            c_const=c_const,
+            c_const=C_CONST,
             partitions=_draw_partitions(N, b, K, attempt_seed),
             certificate=Certificate("unverified"),
         )
-        result = verify_family(family, mode=verify_mode, trials=trials, budget=budget)
+        result = verify_family(family, mode=verify_mode, trials=trials)
         if result.ok:
             return replace(family, certificate=result.certificate)
     raise RetriesExhausted(

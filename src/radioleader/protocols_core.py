@@ -222,11 +222,9 @@ class PairingReduceProgram(DeviceProgram):
 # drivers
 
 
-def pairing_election(
-    devices, N: int, model: CdModel = CdModel.NO_CD, check_replay: bool = False
-) -> RunReport:
+def pairing_election(devices, N: int, model: CdModel = CdModel.NO_CD) -> RunReport:
     config = ProtocolConfig(model=model, N=N)
-    return execute(PairingElectionProgram, devices, config, check_replay=check_replay)
+    return execute(PairingElectionProgram, devices, config)
 
 
 def binary_search_election(devices, N: int, model: CdModel) -> RunReport:
@@ -245,12 +243,11 @@ def halving_tradeoff_election(
     return execute(HalvingTradeoffProgram, devices, config)
 
 
-def pairing_reduce_once(
-    devices, N: int, model: CdModel = CdModel.NO_CD
-) -> Tuple[Dict[int, int], RunReport]:
+def pairing_reduce_once(devices, N: int) -> Tuple[Dict[int, int], RunReport]:
     """Run one knockout level and return {surviving id: new id} over the
-    halved id space [1..ceil(N/2)], along with the run report."""
-    config = ProtocolConfig(model=model, N=N)
+    halved id space [1..ceil(N/2)], along with the run report.  A slot has
+    one transmitter at most, so the run uses no_cd: no model changes it."""
+    config = ProtocolConfig(model=CdModel.NO_CD, N=N)
     report, programs = run_programs(PairingReduceProgram, devices, config)
     survivors = {
         dev: prog.new_id for dev, prog in programs.items() if prog.survived

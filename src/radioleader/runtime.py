@@ -372,8 +372,6 @@ def run_programs(
                     item = gens[dev].send(fb)
                 except StopIteration:
                     continue
-                if item is None:
-                    continue
                 if (
                     not isinstance(item, tuple)
                     or len(item) != 2

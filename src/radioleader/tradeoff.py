@@ -54,9 +54,9 @@ class NoLeader(RuntimeError):
 
 @dataclass(frozen=True)
 class TradeoffParams:
-    b: int
-    K: int
-    epsilon_tilde: float
+    """The analysis case (1 or 2, see above) and the family, which carries
+    the part count b and the family size K."""
+
     case: int
     family: PartitionFamily
 
@@ -77,11 +77,9 @@ def choose_params(
     k: int,
     epsilon: float,
     seed: int = 0,
-    c_const: int = 8,
     family: Optional[PartitionFamily] = None,
     verify_mode: str = "auto",
     verify_trials: int = 10**5,
-    max_retries: int = 8,
 ) -> TradeoffParams:
     """Pick the part count and family for a run with n devices on [1..N].
 
@@ -117,16 +115,12 @@ def choose_params(
             epsilon,
             n_max=n,
             seed=seed,
-            c_const=c_const,
             verify_mode=verify_mode,
             trials=verify_trials,
-            max_retries=max_retries,
         )
     if family.N != N or family.b != b:
         raise InvalidParams("supplied family does not match the chosen (N, b)")
-    return TradeoffParams(
-        b=b, K=family.K, epsilon_tilde=epsilon, case=case, family=family
-    )
+    return TradeoffParams(case=case, family=family)
 
 
 class PartitionTradeoffProgram(DeviceProgram):
@@ -165,7 +159,6 @@ def partition_tradeoff_election(
     devices,
     params: TradeoffParams,
     model: CdModel = CdModel.SENDER_CD,
-    check_replay: bool = False,
 ) -> RunReport:
     """Run the partition trade-off; raises NoLeader when no iteration marks
     a device (cannot happen with a verified family and |V| <= n_max)."""
@@ -176,7 +169,7 @@ def partition_tradeoff_election(
             f"the family only covers subsets up to n_max={family.n_max}, got {len(ids)}"
         )
     config = ProtocolConfig(model=model, N=family.N, family=family)
-    report = execute(PartitionTradeoffProgram, ids, config, check_replay=check_replay)
+    report = execute(PartitionTradeoffProgram, ids, config)
     if not report.strict_success:
         raise NoLeader(
             "no partition isolated a device; the family is not good for this subset",
@@ -191,11 +184,10 @@ def strong_cd_tradeoff_election(
     n: int,
     k: int,
     epsilon: float,
-    seed: int = 0,
 ) -> RunReport:
     """Dispatch between interval halving and the partition trade-off under
     strong_cd, picking whichever has the shorter schedule."""
-    params = choose_params(N, n, k, epsilon, seed=seed)
+    params = choose_params(N, n, k, epsilon)
     partition_len = PartitionTradeoffProgram.schedule_length(
         ProtocolConfig(model=CdModel.STRONG_CD, N=N, family=params.family)
     )

@@ -71,9 +71,7 @@ def test_criterion_1_exhaustive_strict_success():
     for N in range(1, 11):
         b_part = max(2, N * N)  # n_max = N needs N <= sqrt(b)
         fam = generate_family(N, b_part, 0.5, n_max=N)
-        params = TradeoffParams(
-            b=b_part, K=fam.K, epsilon_tilde=0.5, case=2, family=fam,
-        )
+        params = TradeoffParams(case=2, family=fam)
         for V in nonempty_subsets(N):
             lo = min(V)
             assert pairing_election(V, N).leader == lo
@@ -109,7 +107,7 @@ def test_criterion_2_energy_bounds_with_constants():
     for N in GRID:
         lg = ceil_log2(N)
         params = grid_tradeoff_params(N)
-        cap_tr = 2 * params.K + 2 * ceil_log2(params.b) + 3
+        cap_tr = 2 * params.family.K + 2 * ceil_log2(params.family.b) + 3
         for t in range(200):
             n = min(N, 1 << rng.randrange(0, 9))
             V = rng.sample(range(1, N + 1), n)
@@ -180,7 +178,8 @@ def test_criterion_4_round_counts():
         assert ri.rounds <= 3 * N + nb + 1, (N, ri.rounds)
         params = grid_tradeoff_params(N)
         rt = partition_tradeoff_election(V[:8], params, model=CdModel.SENDER_CD)
-        assert rt.rounds <= params.K * (2 * params.b + 2), (N, rt.rounds)
+        fam = params.family
+        assert rt.rounds <= fam.K * (2 * fam.b + 2), (N, rt.rounds)
     print("criterion 4: PASS - round counts within closed-form budgets")
 
 
@@ -241,9 +240,7 @@ def test_criterion_7_sequence_level_checks():
     # counting inequality N <= sum_{i<=k} C(t,i) 2^i on measured (t, k)
     N = 64
     fam = generate_family(16, 4, 0.5, n_max=2)
-    params16 = TradeoffParams(
-        b=4, K=fam.K, epsilon_tilde=0.5, case=2, family=fam,
-    )
+    params16 = TradeoffParams(case=2, family=fam)
     measured = []
     full = list(range(1, N + 1))
     half = full[::2]

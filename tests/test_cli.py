@@ -1,7 +1,6 @@
 import json
 
-import pytest
-
+from radioleader import cli
 from radioleader.channel import CdModel
 from radioleader.cli import (
     AGG_HEADER,
@@ -216,6 +215,27 @@ def test_checks_mode(capsys):
     kinds = {r[0] for r in rows}
     assert kinds == {"uniqueness", "counting", "matching",
                      "potential_active_slots"}
+
+
+def test_checks_refuse_n_above_2_to_the_14_before_any_replay(capsys, monkeypatch):
+    # the battery holds N canonical sequences of about N slots each
+    class Replayed(Exception):
+        pass
+
+    def replay(*args):
+        raise Replayed
+
+    monkeypatch.setattr(cli, "canonical_sequences", replay)
+    code, out, err = run_cli(capsys, "--protocol", "pairing", "--N",
+                             str((1 << 14) + 1), "--checks")
+    assert code == 2 and out == ""
+    assert "error: --checks refuses N > 2^14" in err
+    try:
+        run_cli(capsys, "--protocol", "pairing", "--N", str(1 << 14), "--checks")
+    except Replayed:
+        pass
+    else:
+        raise AssertionError("N = 2^14 did not reach the replays")
 
 
 def test_checks_json(tmp_path, capsys):

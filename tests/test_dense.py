@@ -8,6 +8,9 @@ from radioleader.channel import LISTEN, CdModel, transmit
 from radioleader.dense import (
     AttemptSummary,
     CensusResult,
+    DenseImprovedProgram,
+    DenseSimpleProgram,
+    ExponentialSearchProgram,
     census,
     census_merges,
     census_phase,
@@ -26,6 +29,7 @@ from radioleader.runtime import (
     DeviceProgram,
     ProtocolConfig,
     Verdict,
+    execute,
     run_programs,
 )
 
@@ -89,6 +93,11 @@ def test_census_results():
     assert census(1, 8, []) == CensusResult(members=())
     with pytest.raises(ValueError):
         census(1, 4, [5])
+    # ids are checked as given, before the shift to [1..hi - lo + 1]
+    with pytest.raises(ValueError, match="not 6.5"):
+        census(5, 12, [6.5, 7])
+    with pytest.raises(ValueError, match="not True"):
+        census(5, 12, [True, 6])
 
 
 def test_census_exhaustive_small():
@@ -312,8 +321,9 @@ def test_choose_dense_b():
 
 
 def test_replay_check():
-    dense_simple_election([2, 3, 5], N=8, b=2, check_replay=True)
-    dense_improved_election([2, 3, 5], N=8, b=2, check_replay=True)
+    config = ProtocolConfig(model=NO, N=8, b=2)
+    execute(DenseSimpleProgram, [2, 3, 5], config, check_replay=True)
+    execute(DenseImprovedProgram, [2, 3, 5], config, check_replay=True)
 
 
 # --- exponential search -------------------------------------------------
@@ -411,4 +421,5 @@ def test_sender_side_census_memory_tracks_devices_not_width():
 
 
 def test_exponential_replay():
-    exponential_search_election([3, 11, 12], N=16, model=SE, check_replay=True)
+    config = ProtocolConfig(model=SE, N=16)
+    execute(ExponentialSearchProgram, [3, 11, 12], config, check_replay=True)

@@ -5,7 +5,7 @@ import pytest
 from radioleader.channel import CdModel
 from radioleader.partitions import Certificate, Partition, PartitionFamily, generate_family
 from radioleader.protocols_core import ceil_log2, pairing_phase_len
-from radioleader.runtime import NonDeterminism, ProtocolConfig
+from radioleader.runtime import NonDeterminism, ProtocolConfig, execute
 from radioleader.tradeoff import (
     InvalidParams,
     NoLeader,
@@ -28,26 +28,26 @@ def small_family():
 
 def test_choose_params_small_point():
     p = choose_params(16, 2, 4, 0.5)
-    assert (p.case, p.b, p.K) == (2, 4, 32)
+    assert (p.case, p.family.b, p.family.K) == (2, 4, 32)
     assert p.family.certificate.token() == "exhaustive:2"
 
 
 def test_choose_params_case_one():
     # sparse enough that the bare k-th root suffices: 1 <= 2^{0.5}
     p = choose_params(16, 1, 4, 0.5)
-    assert (p.case, p.b) == (1, 2)
-    assert p.K == 64
+    assert (p.case, p.family.b) == (1, 2)
+    assert p.family.K == 64
 
     p2 = choose_params(2**16, 2, 4, 0.5, verify_mode="sampled",
                        verify_trials=2000)
     # ceil((2^16)^{1/4}) = 16 and 2 <= 16^{0.5}
-    assert (p2.case, p2.b, p2.K) == (1, 16, 64)
+    assert (p2.case, p2.family.b, p2.family.K) == (1, 16, 64)
 
 
 def test_choose_params_case_two_wide():
     p = choose_params(2**16, 64, 4, 0.5, verify_mode="sampled",
                       verify_trials=300)
-    assert (p.case, p.b, p.K) == (2, 4096, 22)
+    assert (p.case, p.family.b, p.family.K) == (2, 4096, 22)
     assert p.family.n_max == 64
 
 
@@ -55,9 +55,9 @@ def test_choose_params_many_probes():
     # with k past 2*log N the extra probes buy nothing; b stays minimal
     p = choose_params(2**16, 2, 16, 0.5, verify_mode="sampled",
                       verify_trials=2000)
-    assert (p.case, p.b, p.K) == (2, 4, 128)
+    assert (p.case, p.family.b, p.family.K) == (2, 4, 128)
     clamped = choose_params(16, 2, 1000, 0.5)
-    assert clamped.b == choose_params(16, 2, 8, 0.5).b
+    assert clamped.family.b == choose_params(16, 2, 8, 0.5).family.b
 
 
 def test_choose_params_respects_supplied_family():
@@ -85,10 +85,10 @@ def test_chosen_b_satisfies_density_precondition():
     for n in (2, 3, 5, 8, 16, 64):
         p = choose_params(2**10, n, 5, 0.5, verify_mode="sampled",
                           verify_trials=500)
-        assert n <= p.b ** (1.0 - 0.5) + 1e-9
-        if p.case == 2 and p.b > 2:
+        assert n <= p.family.b ** (1.0 - 0.5) + 1e-9
+        if p.case == 2 and p.family.b > 2:
             # minimality: one part fewer would break the precondition
-            assert (p.b - 1) ** 0.5 < n - 1e-9
+            assert (p.family.b - 1) ** 0.5 < n - 1e-9
 
 
 # --- the election itself ----------------------------------------------------
@@ -99,8 +99,9 @@ def test_partition_tradeoff_two_devices():
     report = partition_tradeoff_election([3, 11], params)
     assert report.leader == 11
     assert report.strict_success and report.easy_success
-    assert report.rounds == params.K * 2 * params.b
-    assert report.ledger.max_energy <= 2 * params.K + ceil_log2(params.b) + 1
+    fam = params.family
+    assert report.rounds == fam.K * 2 * fam.b
+    assert report.ledger.max_energy <= 2 * fam.K + ceil_log2(fam.b) + 1
 
 
 def test_partition_tradeoff_singleton():
@@ -113,7 +114,7 @@ def test_partition_tradeoff_singleton():
 def test_partition_tradeoff_exhaustive_pairs():
     fam = small_family()
     params = choose_params(16, 2, 4, 0.5, family=fam)
-    bound = 2 * params.K + ceil_log2(params.b) + 1
+    bound = 2 * fam.K + ceil_log2(fam.b) + 1
     for subset in itertools.combinations(range(1, 17), 2):
         report = partition_tradeoff_election(list(subset), params)
         assert report.strict_success and report.easy_success
@@ -142,7 +143,7 @@ def test_bad_family_raises_no_leader():
         N=8, b=4, K=2, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
         partitions=(lump, lump), certificate=Certificate("unverified"),
     )
-    params = TradeoffParams(b=4, K=2, epsilon_tilde=0.5, case=2, family=fam)
+    params = TradeoffParams(case=2, family=fam)
     with pytest.raises(NoLeader) as exc:
         partition_tradeoff_election([2, 5], params)
     report = exc.value.report
@@ -154,8 +155,8 @@ def test_bad_family_raises_no_leader():
 
 
 def test_replay_check_passes():
-    params = choose_params(16, 2, 4, 0.5, family=small_family())
-    partition_tradeoff_election([4, 9], params, check_replay=True)
+    config = ProtocolConfig(model=SE, N=16, family=small_family())
+    execute(PartitionTradeoffProgram, [4, 9], config, check_replay=True)
 
 
 class ShiftingPartition:
@@ -176,10 +177,9 @@ def test_replay_check_catches_a_shifting_partition():
         c_const=8, partitions=(ShiftingPartition(fam.b),) * fam.K,
         certificate=Certificate("unverified"),
     )
-    params = TradeoffParams(b=fam.b, K=fam.K, epsilon_tilde=0.5, case=2,
-                            family=shifty)
+    config = ProtocolConfig(model=SE, N=fam.N, family=shifty)
     with pytest.raises(NonDeterminism):
-        partition_tradeoff_election([4, 9], params, check_replay=True)
+        execute(PartitionTradeoffProgram, [4, 9], config, check_replay=True)
 
 
 def test_marked_devices_really_are_alone():
@@ -187,12 +187,12 @@ def test_marked_devices_really_are_alone():
     # only member of its part; cross-check against the partition itself
     fam = small_family()
     params = choose_params(16, 2, 4, 0.5, family=fam)
-    span = 2 * params.b
+    span = 2 * fam.b
     for subset in ([3, 11], [1, 2], [6, 14], [15, 16]):
         report = partition_tradeoff_election(subset, params)
         for rnd, dev, action, fb in report.transcript.events:
             offset_in_pass = rnd % span
-            if action.kind != "transmit" or offset_in_pass >= params.b:
+            if action.kind != "transmit" or offset_in_pass >= fam.b:
                 continue
             part = fam.partitions[rnd // span].part(dev)
             assert offset_in_pass == part - 1
@@ -205,7 +205,7 @@ def test_marked_devices_really_are_alone():
 
 def test_winner_ends_the_run_early():
     params = choose_params(16, 2, 4, 0.5, family=small_family())
-    span = 2 * params.b
+    span = 2 * params.family.b
     report = partition_tradeoff_election([3, 11], params)
     announce_rounds = [
         rnd for rnd, _, action, _ in report.transcript.events

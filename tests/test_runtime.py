@@ -108,6 +108,29 @@ def test_config_validation():
         execute(make_script({}), [5], cfg(4))
 
 
+def test_schedule_overrun_past_end():
+    prog = make_script({1: [(4, Action("transmit", 1))]}, length=4)
+    with pytest.raises(ScheduleOverrun):
+        execute(prog, [1], cfg(4))
+
+
+def test_schedule_overrun_non_increasing():
+    prog = make_script(
+        {1: [(2, Action("listen")), (2, Action("listen"))]}, length=4
+    )
+    with pytest.raises(ScheduleOverrun):
+        execute(prog, [1], cfg(4))
+
+
+def test_explicit_idle_yield_rejected():
+    # only listen / transmit may be offered; a typo fails at the offer,
+    # naming the device and the kind, not later inside the hash
+    for kind in ("idle", "tranmsit"):
+        prog = make_script({1: [(0, Action(kind, 1))]}, length=2)
+        with pytest.raises(ScheduleOverrun, match=f"device 1 .*'{kind}'"):
+            execute(prog, [1], cfg(4))
+
+
 # Each malformed offer, made from the previous round of its device, with
 # the message it must raise.
 BAD_OFFERS = {

@@ -57,10 +57,8 @@ from .runtime import (
 from .tradeoff import (
     InvalidParams,
     NoLeader,
-    TradeoffParams,
     choose_params,
     partition_tradeoff_election,
-    strong_cd_tradeoff_election,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +80,6 @@ __all__ = [
     "RetriesExhausted",
     "RunReport",
     "SlotOutcome",
-    "TradeoffParams",
     "Transcript",
     "Verdict",
     "ViolationPair",
@@ -110,7 +107,6 @@ __all__ = [
     "save_family",
     "sequence_budget",
     "singleton_lower_bound",
-    "strong_cd_tradeoff_election",
     "uniqueness_check",
     "verify_family",
 ]

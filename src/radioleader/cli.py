@@ -66,6 +66,9 @@ PROGRAMS = {
     "exponential": ExponentialSearchProgram,
 }
 
+# the protocols that take a block width (--b)
+DENSE_WALKS = ("dense_simple", "dense_improved")
+
 CSV_HEADER = (
     "protocol,model,N,n,b,k,rounds,max_energy,strict,easy,transcript_hash"
 )
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="energy budget knob")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--b", type=int, default=None,
-                   help="block width (dense) / part count (trade-off)")
+                   help="block width of the dense walks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--subsets", choices=("all", "random", "file", "density"),
                    default="random")
@@ -219,7 +222,7 @@ def _model_for(args) -> CdModel:
 
 
 def _run_one(args, model: CdModel, devices: List[int],
-             tradeoff_params=None) -> Tuple[RunReport, str, str]:
+             family=None) -> Tuple[RunReport, str, str]:
     """Returns (report, b column, k column)."""
     N, proto = args.N, args.protocol
     if proto == "pairing":
@@ -232,13 +235,11 @@ def _run_one(args, model: CdModel, devices: List[int],
         return report, "", str(k)
     if proto == "tradeoff":
         try:
-            report = partition_tradeoff_election(devices, tradeoff_params,
-                                                 model=model)
+            report = partition_tradeoff_election(devices, family, model=model)
         except NoLeader as exc:
             report = exc.report
-        family = tradeoff_params.family
         return report, str(family.b), str(family.K)
-    if proto in ("dense_simple", "dense_improved"):
+    if proto in DENSE_WALKS:
         b = args.b if args.b is not None else choose_dense_b(N, len(devices))
         run = (dense_simple_election if proto == "dense_simple"
                else dense_improved_election)
@@ -249,6 +250,7 @@ def _run_one(args, model: CdModel, devices: List[int],
 
 
 def _tradeoff_params(args, subsets: Sequence[Sequence[int]]):
+    """The partition family of a trade-off experiment."""
     if args.epsilon is None or args.k is None:
         raise ValueError("--protocol tradeoff needs --k and --epsilon")
     n = args.n if args.n is not None else max(len(s) for s in subsets)
@@ -264,13 +266,22 @@ def run_experiment(args):
     attempt records); all four deterministic functions of the arguments.
     Transcripts are serialized only for --emit-transcripts."""
     model = _model_for(args)
+    dense = args.protocol in DENSE_WALKS
+    if args.b is not None and not dense:
+        raise ValueError("--b is the block width of the dense walks "
+                         f"({', '.join(DENSE_WALKS)}), not of {args.protocol}")
     subsets = generate_subsets(args)
-    params = _tradeoff_params(args, subsets) if args.protocol == "tradeoff" \
+    if dense and args.b is None:
+        for devices in subsets:
+            if len(devices) < 2:
+                raise ValueError(f"device set {devices}: without --b the "
+                                 f"{args.protocol} walk needs n >= 2 devices")
+    family = _tradeoff_params(args, subsets) if args.protocol == "tradeoff" \
         else None
 
     entries = []
     for devices in subsets:
-        report, b_col, k_col = _run_one(args, model, devices, params)
+        report, b_col, k_col = _run_one(args, model, devices, family)
         row = _record(
             CSV_HEADER,
             args.protocol,

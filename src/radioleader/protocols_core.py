@@ -13,8 +13,9 @@ Three protocols plus the reusable phases they are built from:
                           empty.  Needs listeners that can tell silence from
                           collision (strong_cd or receiver_cd).
 * halving_tradeoff_election - k interval-halving slots shrink the id space
-                          by 2^k, then a configurable inner election
-                          finishes on the residue.  Trades time for energy.
+                          by 2^k, then binary search finishes on the
+                          residue.  That is binary search split in two:
+                          the same rounds, and no less energy.
 
 Every election ends with one announcement slot: the winner transmits its id
 and everyone else listens.  Devices that already know the outcome idle; a
@@ -29,7 +30,7 @@ disagree.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .channel import LISTEN, CdModel, transmit
 from .runtime import (
@@ -63,10 +64,10 @@ def pairing_level_len(space: int, compact: bool = False) -> int:
 
 
 @lru_cache(maxsize=256)
-def pairing_phase_len(space: int, compact: bool = False) -> int:
+def pairing_phase_len(space: int) -> int:
     total = 0
     while space > 1:
-        total += pairing_level_len(space, compact)
+        total += pairing_level_len(space)
         space = (space + 1) // 2
     return total
 
@@ -89,8 +90,9 @@ def pairing_tournament_phase(cid: int, space: int, base: int = 0, compact: bool 
     """Knockout levels until the id space is a single id.  Returns True iff
     this device survived throughout (then its final id is 1).
 
-    The compact layout (see pairing_level_phase) is what inner elections
-    embed; the standalone election keeps the one-slot-per-pair layout."""
+    The compact layout (see pairing_level_phase) is what the partition
+    trade-off embeds: it takes space - 1 slots.  The standalone election
+    keeps the one-slot-per-pair layout."""
     while space > 1:
         alive, cid = yield from pairing_level_phase(cid, space, base, compact)
         if not alive:
@@ -164,19 +166,11 @@ class BinarySearchElectionProgram(DeviceProgram):
         yield from self.announce(probes, alive)
 
 
-def _halving_plan(config: ProtocolConfig) -> Tuple[int, int, str, int]:
+def _halving_plan(config: ProtocolConfig) -> Tuple[int, int]:
     if config.k is None or config.k < 1:
         raise ValueError("halving trade-off needs k >= 1")
     probes = min(config.k, ceil_log2(config.N))
-    residue = ceil_div(config.N, 1 << probes)
-    inner = config.inner_election or "binary_search"
-    if inner == "binary_search":
-        inner_len = ceil_log2(residue)
-    elif inner == "pairing":
-        inner_len = pairing_phase_len(residue, compact=True)
-    else:
-        raise ValueError(f"unknown inner election {inner!r}")
-    return probes, residue, inner, inner_len
+    return probes, ceil_div(config.N, 1 << probes)
 
 
 class HalvingTradeoffProgram(DeviceProgram):
@@ -184,24 +178,20 @@ class HalvingTradeoffProgram(DeviceProgram):
 
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
-        probes, _, _, inner_len = _halving_plan(config)
-        return probes + inner_len + 1
+        probes, residue = _halving_plan(config)
+        return probes + ceil_log2(residue) + 1
 
     def run(self):
-        probes, residue, inner, inner_len = _halving_plan(self.config)
+        probes, residue = _halving_plan(self.config)
+        inner_len = ceil_log2(residue)
         alive, pos, _ = yield from interval_halving_phase(
             self.device_id, self.config.N, probes
         )
         won = False
         if alive:
-            if inner == "binary_search":
-                won, _, _ = yield from interval_halving_phase(
-                    pos, residue, ceil_log2(residue), probes
-                )
-            else:
-                won = yield from pairing_tournament_phase(
-                    pos, residue, probes, compact=True
-                )
+            won, _, _ = yield from interval_halving_phase(
+                pos, residue, inner_len, probes
+            )
         yield from self.announce(probes + inner_len, won)
 
 
@@ -237,9 +227,8 @@ def halving_tradeoff_election(
     N: int,
     k: int,
     model: CdModel = CdModel.STRONG_CD,
-    inner_election: Optional[str] = None,
 ) -> RunReport:
-    config = ProtocolConfig(model=model, N=N, k=k, inner_election=inner_election)
+    config = ProtocolConfig(model=model, N=N, k=k)
     return execute(HalvingTradeoffProgram, devices, config)
 
 

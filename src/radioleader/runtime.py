@@ -95,16 +95,14 @@ class ProtocolConfig:
 
     N is the size of the id space; device ids are in 1..N.  The remaining
     fields are protocol-specific and stay None where a protocol does not
-    read them: k is the halving trade-off's probe count, inner_election its
-    inner election ("binary_search" or "pairing"), b the dense walks' block
-    width, and family the partition trade-off's partition family.
+    read them: k is the halving trade-off's probe count, b the dense walks'
+    block width, and family the partition trade-off's partition family.
     """
 
     model: CdModel
     N: int
     k: Optional[int] = None
     b: Optional[int] = None
-    inner_election: Optional[str] = None
     family: Optional[PartitionFamily] = None
 
     def __post_init__(self):

@@ -10,27 +10,21 @@ everyone goes permanently idle after it.  A verified family guarantees some
 iteration isolates a device, hence election; time grows with K*b while
 per-device energy stays near 2K + log b.
 
-choose_params picks (b, family size K) for a known device count n and a
-time budget knob k, mirroring the analysis the protocol comes from: when n
-is small against N^(1/k) the id space dictates b = ceil(N^(1/k));
-otherwise b is the smallest part count that keeps n below b^(1-epsilon).
+choose_params picks the family (its part count b and size K) for a known
+device count n and a time budget knob k, mirroring the analysis the
+protocol comes from: when n is small against N^(1/k) the id space dictates
+b = ceil(N^(1/k)); otherwise b is the smallest part count that keeps n
+below b^(1-epsilon).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .channel import CdModel, transmit
 from .partitions import PartitionFamily, generate_family
-from .protocols_core import (
-    HalvingTradeoffProgram,
-    ceil_log2,
-    halving_tradeoff_election,
-    pairing_phase_len,
-    pairing_tournament_phase,
-)
+from .protocols_core import ceil_log2, pairing_tournament_phase
 from .runtime import (
     DeviceProgram,
     ProtocolConfig,
@@ -52,15 +46,6 @@ class NoLeader(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class TradeoffParams:
-    """The analysis case (1 or 2, see above) and the family, which carries
-    the part count b and the family size K."""
-
-    case: int
-    family: PartitionFamily
-
-
 def _integer_kth_root_ceiling(N: int, k: int) -> int:
     """Smallest b with b^k >= N."""
     b = max(1, round(N ** (1.0 / k)))
@@ -80,7 +65,7 @@ def choose_params(
     family: Optional[PartitionFamily] = None,
     verify_mode: str = "auto",
     verify_trials: int = 10**5,
-) -> TradeoffParams:
+) -> PartitionFamily:
     """Pick the part count and family for a run with n devices on [1..N].
 
     Requires 0 < epsilon < 1 and k at least ceil(log log N); k is clamped
@@ -97,10 +82,8 @@ def choose_params(
 
     root = _integer_kth_root_ceiling(N, k_eff)  # ceil(N^(1/k))
     if n <= root ** (1.0 - epsilon) + 1e-9:
-        case = 1
         b = root
     else:
-        case = 2
         b = max(2, math.ceil(n ** (1.0 / (1.0 - epsilon)) - 1e-9))
         while b ** (1.0 - epsilon) < n - 1e-9:
             b += 1
@@ -120,28 +103,26 @@ def choose_params(
         )
     if family.N != N or family.b != b:
         raise InvalidParams("supplied family does not match the chosen (N, b)")
-    return TradeoffParams(case=case, family=family)
+    return family
 
 
 class PartitionTradeoffProgram(DeviceProgram):
-    """K rounds of (marking, compact knockout on part indices, announcement)
-    over the partition family `config.family`."""
+    """K iterations of (marking, compact knockout on part indices,
+    announcement) over the partition family `config.family`.  Each takes 2b
+    rounds: b marking slots, b - 1 knockout slots (a compact knockout over b
+    ids plays b - 1 matches) and the announcement."""
 
     models = (CdModel.STRONG_CD, CdModel.SENDER_CD)
 
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
-        family = config.family
-        inner = pairing_phase_len(family.b, compact=True)
-        return family.K * (family.b + inner + 1)
+        return 2 * config.family.b * config.family.K
 
     def run(self):
         family = self.config.family
         b = family.b
-        inner_len = pairing_phase_len(b, compact=True)
-        span = b + inner_len + 1
         for i in range(family.K):
-            base = i * span
+            base = i * 2 * b
             my_part = family.partitions[i].part(self.device_id)
             fb = yield (base + my_part - 1, transmit(self.device_id))
             # alone in the part <=> the device hears its own message back
@@ -151,19 +132,18 @@ class PartitionTradeoffProgram(DeviceProgram):
                 winner = yield from pairing_tournament_phase(
                     my_part, b, base + b, compact=True
                 )
-            if (yield from self.announce(base + b + inner_len, winner)):
+            if (yield from self.announce(base + 2 * b - 1, winner)):
                 return
 
 
 def partition_tradeoff_election(
     devices,
-    params: TradeoffParams,
+    family: PartitionFamily,
     model: CdModel = CdModel.SENDER_CD,
 ) -> RunReport:
     """Run the partition trade-off; raises NoLeader when no iteration marks
     a device (cannot happen with a verified family and |V| <= n_max)."""
     ids = set(devices)
-    family = params.family
     if len(ids) > family.n_max:
         raise ValueError(
             f"the family only covers subsets up to n_max={family.n_max}, got {len(ids)}"
@@ -177,23 +157,3 @@ def partition_tradeoff_election(
         )
     return report
 
-
-def strong_cd_tradeoff_election(
-    devices,
-    N: int,
-    n: int,
-    k: int,
-    epsilon: float,
-) -> RunReport:
-    """Dispatch between interval halving and the partition trade-off under
-    strong_cd, picking whichever has the shorter schedule."""
-    params = choose_params(N, n, k, epsilon)
-    partition_len = PartitionTradeoffProgram.schedule_length(
-        ProtocolConfig(model=CdModel.STRONG_CD, N=N, family=params.family)
-    )
-    halving_len = HalvingTradeoffProgram.schedule_length(
-        ProtocolConfig(model=CdModel.STRONG_CD, N=N, k=k)
-    )
-    if halving_len <= partition_len:
-        return halving_tradeoff_election(devices, N, k, model=CdModel.STRONG_CD)
-    return partition_tradeoff_election(devices, params, model=CdModel.STRONG_CD)

@@ -27,7 +27,11 @@ from radioleader.lowerbound import (
     sequence_budget,
     uniqueness_check,
 )
-from radioleader.partitions import balls_in_bins_singleton_prob, generate_family
+from radioleader.partitions import (
+    PartitionFamily,
+    balls_in_bins_singleton_prob,
+    generate_family,
+)
 from radioleader.protocols_core import (
     BinarySearchElectionProgram,
     HalvingTradeoffProgram,
@@ -38,17 +42,13 @@ from radioleader.protocols_core import (
     pairing_election,
 )
 from radioleader.runtime import ProtocolConfig, execute
-from radioleader.tradeoff import (
-    TradeoffParams,
-    choose_params,
-    partition_tradeoff_election,
-)
+from radioleader.tradeoff import choose_params, partition_tradeoff_election
 
 GRID = [2**6, 2**8, 2**10, 2**12, 2**14, 2**16]
 
 
 @lru_cache(maxsize=None)
-def grid_tradeoff_params(N: int) -> TradeoffParams:
+def grid_tradeoff_family(N: int) -> PartitionFamily:
     # shared by the energy and round-count criteria; n_max 16 keeps the
     # sampled verification of the big families affordable
     k = max(1, ceil_log2(ceil_log2(N)))
@@ -71,7 +71,6 @@ def test_criterion_1_exhaustive_strict_success():
     for N in range(1, 11):
         b_part = max(2, N * N)  # n_max = N needs N <= sqrt(b)
         fam = generate_family(N, b_part, 0.5, n_max=N)
-        params = TradeoffParams(case=2, family=fam)
         for V in nonempty_subsets(N):
             lo = min(V)
             assert pairing_election(V, N).leader == lo
@@ -81,7 +80,7 @@ def test_criterion_1_exhaustive_strict_success():
             for k in range(1, ceil_log2(N) + 1):
                 assert halving_tradeoff_election(V, N, k).leader == lo
                 runs += 1
-            rp = partition_tradeoff_election(V, params, model=CdModel.SENDER_CD)
+            rp = partition_tradeoff_election(V, fam, model=CdModel.SENDER_CD)
             assert rp.strict_success and rp.leader in V
             runs += 1
             for bb in range(1, N + 1):
@@ -106,8 +105,8 @@ def test_criterion_2_energy_bounds_with_constants():
     rng = random.Random(20260819)
     for N in GRID:
         lg = ceil_log2(N)
-        params = grid_tradeoff_params(N)
-        cap_tr = 2 * params.family.K + 2 * ceil_log2(params.family.b) + 3
+        fam = grid_tradeoff_family(N)
+        cap_tr = 2 * fam.K + 2 * ceil_log2(fam.b) + 3
         for t in range(200):
             n = min(N, 1 << rng.randrange(0, 9))
             V = rng.sample(range(1, N + 1), n)
@@ -120,7 +119,7 @@ def test_criterion_2_energy_bounds_with_constants():
             rh = halving_tradeoff_election(V, N, k)
             assert rh.ledger.max_energy <= k + resid_bits + 3, (N, k)
             Vt = rng.sample(range(1, N + 1), rng.randrange(1, 17))
-            rt = partition_tradeoff_election(Vt, params, model=CdModel.SENDER_CD)
+            rt = partition_tradeoff_election(Vt, fam, model=CdModel.SENDER_CD)
             assert rt.ledger.max_energy <= cap_tr, (N, rt.ledger.max_energy)
     print("criterion 2: PASS - energy ceilings hold at 200 draws per grid point")
 
@@ -176,9 +175,8 @@ def test_criterion_4_round_counts():
         ri = dense_improved_election(V, N, b)
         assert rs.rounds <= 3 * N + nb + 1, (N, rs.rounds)
         assert ri.rounds <= 3 * N + nb + 1, (N, ri.rounds)
-        params = grid_tradeoff_params(N)
-        rt = partition_tradeoff_election(V[:8], params, model=CdModel.SENDER_CD)
-        fam = params.family
+        fam = grid_tradeoff_family(N)
+        rt = partition_tradeoff_election(V[:8], fam, model=CdModel.SENDER_CD)
         assert rt.rounds <= fam.K * (2 * fam.b + 2), (N, rt.rounds)
     print("criterion 4: PASS - round counts within closed-form budgets")
 
@@ -239,8 +237,7 @@ def test_criterion_7_sequence_level_checks():
 
     # counting inequality N <= sum_{i<=k} C(t,i) 2^i on measured (t, k)
     N = 64
-    fam = generate_family(16, 4, 0.5, n_max=2)
-    params16 = TradeoffParams(case=2, family=fam)
+    fam16 = generate_family(16, 4, 0.5, n_max=2)
     measured = []
     full = list(range(1, N + 1))
     half = full[::2]
@@ -252,7 +249,7 @@ def test_criterion_7_sequence_level_checks():
         ("dense_improved", lambda V: dense_improved_election(V, N, 8)),
         ("exponential", lambda V: exponential_search_election(V, N, model=CdModel.NO_CD)),
         ("tradeoff16", lambda V: partition_tradeoff_election(
-            [v for v in V if v <= 16][:2] or [1], params16,
+            [v for v in V if v <= 16][:2] or [1], fam16,
             model=CdModel.SENDER_CD)),
     ]:
         t = k = 0

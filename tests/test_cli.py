@@ -266,6 +266,36 @@ def test_attempt_rows_for_exponential(tmp_path, capsys):
     assert ATTEMPT_HEADER in out
 
 
+def test_b_is_refused_outside_the_dense_walks(capsys, monkeypatch):
+    def run_one(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    for proto in set(PROGRAMS) - set(cli.DENSE_WALKS):
+        code, out, err = run_cli(capsys, "--protocol", proto, "--N", "8",
+                                 "--n", "2", "--b", "5", "--trials", "1",
+                                 "--k", "4", "--epsilon", "0.5")
+        assert code == 2 and out == "", proto
+        assert "error: --b is the block width of the dense walks" in err
+
+
+def test_dense_walks_check_every_set_before_any_run(tmp_path, capsys, monkeypatch):
+    # without --b the block width needs n >= 2; a singleton listed last
+    # must stop the experiment before its first run, not after two
+    listing = tmp_path / "subsets.txt"
+    listing.write_text("1 2 3\n4 5\n6\n")
+    calls = []
+    for proto in cli.DENSE_WALKS:
+        driver = f"{proto}_election"
+        monkeypatch.setattr(cli, driver, lambda *a, **kw: calls.append(a))
+        code, out, err = run_cli(capsys, "--protocol", proto, "--N", "6",
+                                 "--subsets", "file",
+                                 "--subsets-file", str(listing))
+        assert code == 2 and out == ""
+        assert "device set [6]" in err and "n >= 2" in err
+    assert calls == []
+
+
 def test_assert_success_failure_exit(capsys):
     # two devices in eight width-1 blocks cannot form a large enough group
     code, out, err = run_cli(capsys, "--protocol", "dense_simple", "--N", "8",

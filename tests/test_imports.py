@@ -1,4 +1,5 @@
-"""Every name a package or test module imports is used in that module.
+"""Every name a package or test module imports is used in that module, and
+the package's `__all__` lists exactly its public names.
 
 No linter ships with the project, so this walks each module's syntax tree
 instead: an import whose name never appears as an identifier in the same
@@ -9,9 +10,12 @@ re-exports by design and is not checked.  The benchmark's modules under
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import radioleader
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "radioleader"
@@ -51,3 +55,13 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_exactly_the_public_names():
+    for name in radioleader.__all__:
+        assert hasattr(radioleader, name), name
+    public = {
+        name for name, value in vars(radioleader).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(radioleader.__all__) == sorted(public)

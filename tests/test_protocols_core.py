@@ -79,7 +79,12 @@ def test_pairing_phase_rounds_recurrence():
     for space in range(1, 200):
         assert pairing_phase_len(space) == rec(space)
         assert pairing_phase_len(space) <= 2 * space
-        assert pairing_phase_len(space, compact=True) == max(0, space - 1)
+        # the compact knockout the partition trade-off embeds: space - 1 slots
+        compact, s = 0, space
+        while s > 1:
+            compact += pairing_level_len(s, compact=True)
+            s = (s + 1) // 2
+        assert compact == space - 1
 
 
 def test_pairing_reduce_once_examples():
@@ -223,12 +228,6 @@ def test_halving_rounds_and_energy_bounds():
         assert report.strict_success
         assert report.rounds <= k + ceil_log2(residue) + 1
         assert report.ledger.max_energy <= k + ceil_log2(residue) + 1
-
-
-def test_halving_pairing_inner_variant():
-    report = halving_tradeoff_election([9, 10, 14], 16, 2, inner_election="pairing")
-    assert report.strict_success
-    assert report.leader == 9  # pairing also elects the minimum
 
 
 # --- shared properties ------------------------------------------------------

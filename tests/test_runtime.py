@@ -430,13 +430,11 @@ def _garbage_runs():
     """Every protocol under one model it admits, plus the census and a single
     pairing level, at N = 256 on a sparse id set."""
     ids, N = GARBAGE_IDS, GARBAGE_N
-    params = choose_params(N, len(ids), 4, 0.5, verify_trials=1000)
+    family = choose_params(N, len(ids), 4, 0.5, verify_trials=1000)
     yield "pairing", partial(pairing_election, ids, N)
     yield "binary_search", partial(binary_search_election, ids, N, CdModel.RECEIVER_CD)
-    for inner in ("binary_search", "pairing"):
-        yield f"halving {inner}", partial(
-            halving_tradeoff_election, ids, N, 2, inner_election=inner)
-    yield "tradeoff", partial(partition_tradeoff_election, ids, params)
+    yield "halving binary_search", partial(halving_tradeoff_election, ids, N, 2)
+    yield "tradeoff", partial(partition_tradeoff_election, ids, family)
     yield "dense_simple", partial(dense_simple_election, ids, N, 16)
     yield "dense_improved", partial(dense_improved_election, ids, N, 16)
     yield "exponential", partial(exponential_search_election, ids, N, CdModel.SENDER_CD)
@@ -555,15 +553,14 @@ def _golden_runs():
                 yield f"binary_search {m.value}", \
                     partial(binary_search_election, ids, N, model=m)
             for k in (1, 2, 3):
-                for inner in ("binary_search", "pairing"):
-                    yield f"halving k={k} {inner}", partial(
-                        halving_tradeoff_election, ids, N, k, inner_election=inner)
+                yield f"halving k={k} binary_search", partial(
+                    halving_tradeoff_election, ids, N, k)
             if N in GOLDEN_TRADEOFF_K:
-                params = choose_params(N, 2, GOLDEN_TRADEOFF_K[N], 0.5,
+                family = choose_params(N, 2, GOLDEN_TRADEOFF_K[N], 0.5,
                                        family=_golden_family(N))
                 for m in PartitionTradeoffProgram.models:
                     yield f"tradeoff {m.value}", \
-                        partial(partition_tradeoff_election, ids, params, model=m)
+                        partial(partition_tradeoff_election, ids, family, model=m)
 
 
 def _golden_reports():
@@ -592,9 +589,9 @@ def test_golden_transcripts():
             f"leader={report.leader} ranks={ranks}\n{t.serialize()}".encode()
         )
         runs += 1
-    assert runs == 698
+    assert runs == 656
     assert digest.hexdigest() == (
-        "08309c3d0886572b1e069a36608b5e15ecfb73c9bb7605ef48d3ee2e9afd9164"
+        "3673894706529472cda864cb34db739e77275d13fc6fc6c886074735db4695b4"
     )
 
 
@@ -606,9 +603,9 @@ def test_golden_transcript_hashes():
     for _, report in _golden_reports():
         digest.update(b"%016x\n" % report.transcript_hash)
         runs += 1
-    assert runs == 698
+    assert runs == 656
     assert digest.hexdigest() == (
-        "f094cbfb2544f22067bcf3de96dd8b033f39c6aef020ec2a0ee329dc6053b93a"
+        "c018d53c64e9de6e1241b26538a2f5406801e746a593536eb625d84a636e6328"
     )
 
 
@@ -646,11 +643,11 @@ def _transcript_runs():
     N = 1 << 10
     ids = range(1, N + 1)
     few = sorted(random.Random(5).sample(ids, 12))
-    params = choose_params(N, len(few), 4, 0.5, verify_trials=1000)
+    family = choose_params(N, len(few), 4, 0.5, verify_trials=1000)
     yield partial(pairing_election, ids, N)
     yield partial(binary_search_election, ids, N, CdModel.RECEIVER_CD)
     yield partial(halving_tradeoff_election, ids, N, 3)
-    yield partial(partition_tradeoff_election, few, params)
+    yield partial(partition_tradeoff_election, few, family)
     yield partial(dense_simple_election, ids, N, 16)
     yield partial(dense_improved_election, ids, N, 16)
     yield partial(exponential_search_election, ids, N, CdModel.SENDER_CD)

@@ -4,16 +4,14 @@ import pytest
 
 from radioleader.channel import CdModel
 from radioleader.partitions import Certificate, Partition, PartitionFamily, generate_family
-from radioleader.protocols_core import ceil_log2, pairing_phase_len
+from radioleader.protocols_core import ceil_log2, pairing_level_len
 from radioleader.runtime import NonDeterminism, ProtocolConfig, execute
 from radioleader.tradeoff import (
     InvalidParams,
     NoLeader,
     PartitionTradeoffProgram,
-    TradeoffParams,
     choose_params,
     partition_tradeoff_election,
-    strong_cd_tradeoff_election,
 )
 
 SC, SE = CdModel.STRONG_CD, CdModel.SENDER_CD
@@ -27,43 +25,42 @@ def small_family():
 
 
 def test_choose_params_small_point():
-    p = choose_params(16, 2, 4, 0.5)
-    assert (p.case, p.family.b, p.family.K) == (2, 4, 32)
-    assert p.family.certificate.token() == "exhaustive:2"
+    fam = choose_params(16, 2, 4, 0.5)
+    assert (fam.b, fam.K) == (4, 32)
+    assert fam.certificate.token() == "exhaustive:2"
 
 
 def test_choose_params_case_one():
     # sparse enough that the bare k-th root suffices: 1 <= 2^{0.5}
-    p = choose_params(16, 1, 4, 0.5)
-    assert (p.case, p.family.b) == (1, 2)
-    assert p.family.K == 64
+    fam = choose_params(16, 1, 4, 0.5)
+    assert (fam.b, fam.K) == (2, 64)
 
-    p2 = choose_params(2**16, 2, 4, 0.5, verify_mode="sampled",
-                       verify_trials=2000)
+    fam2 = choose_params(2**16, 2, 4, 0.5, verify_mode="sampled",
+                         verify_trials=2000)
     # ceil((2^16)^{1/4}) = 16 and 2 <= 16^{0.5}
-    assert (p2.case, p2.family.b, p2.family.K) == (1, 16, 64)
+    assert (fam2.b, fam2.K) == (16, 64)
 
 
 def test_choose_params_case_two_wide():
-    p = choose_params(2**16, 64, 4, 0.5, verify_mode="sampled",
-                      verify_trials=300)
-    assert (p.case, p.family.b, p.family.K) == (2, 4096, 22)
-    assert p.family.n_max == 64
+    # 64 > 16^{0.5}, so b is the smallest part count with 64 <= b^{0.5}
+    fam = choose_params(2**16, 64, 4, 0.5, verify_mode="sampled",
+                        verify_trials=300)
+    assert (fam.b, fam.K) == (4096, 22)
+    assert fam.n_max == 64
 
 
 def test_choose_params_many_probes():
     # with k past 2*log N the extra probes buy nothing; b stays minimal
-    p = choose_params(2**16, 2, 16, 0.5, verify_mode="sampled",
-                      verify_trials=2000)
-    assert (p.case, p.family.b, p.family.K) == (2, 4, 128)
+    fam = choose_params(2**16, 2, 16, 0.5, verify_mode="sampled",
+                        verify_trials=2000)
+    assert (fam.b, fam.K) == (4, 128)
     clamped = choose_params(16, 2, 1000, 0.5)
-    assert clamped.family.b == choose_params(16, 2, 8, 0.5).family.b
+    assert clamped.b == choose_params(16, 2, 8, 0.5).b
 
 
 def test_choose_params_respects_supplied_family():
     fam = small_family()
-    p = choose_params(16, 2, 4, 0.5, family=fam)
-    assert p.family is fam
+    assert choose_params(16, 2, 4, 0.5, family=fam) is fam
     with pytest.raises(InvalidParams):
         choose_params(16, 1, 4, 0.5, family=fam)  # case 1 picks b=2, not 4
 
@@ -83,57 +80,56 @@ def test_choose_params_rejects_bad_inputs():
 
 def test_chosen_b_satisfies_density_precondition():
     for n in (2, 3, 5, 8, 16, 64):
-        p = choose_params(2**10, n, 5, 0.5, verify_mode="sampled",
-                          verify_trials=500)
-        assert n <= p.family.b ** (1.0 - 0.5) + 1e-9
-        if p.case == 2 and p.family.b > 2:
+        fam = choose_params(2**10, n, 5, 0.5, verify_mode="sampled",
+                            verify_trials=500)
+        assert n <= fam.b ** (1.0 - 0.5) + 1e-9
+        # ceil((2^10)^{1/5}) = 4 covers n <= 4^{1/2}; above that b is minimal
+        if n > 2 and fam.b > 2:
             # minimality: one part fewer would break the precondition
-            assert (p.family.b - 1) ** 0.5 < n - 1e-9
+            assert (fam.b - 1) ** 0.5 < n - 1e-9
 
 
 # --- the election itself ----------------------------------------------------
 
 
 def test_partition_tradeoff_two_devices():
-    params = choose_params(16, 2, 4, 0.5, family=small_family())
-    report = partition_tradeoff_election([3, 11], params)
+    fam = choose_params(16, 2, 4, 0.5, family=small_family())
+    report = partition_tradeoff_election([3, 11], fam)
     assert report.leader == 11
     assert report.strict_success and report.easy_success
-    fam = params.family
     assert report.rounds == fam.K * 2 * fam.b
     assert report.ledger.max_energy <= 2 * fam.K + ceil_log2(fam.b) + 1
 
 
 def test_partition_tradeoff_singleton():
-    params = choose_params(16, 2, 4, 0.5, family=small_family())
-    report = partition_tradeoff_election([5], params)
+    fam = choose_params(16, 2, 4, 0.5, family=small_family())
+    report = partition_tradeoff_election([5], fam)
     assert report.leader == 5
     assert report.strict_success
 
 
 def test_partition_tradeoff_exhaustive_pairs():
     fam = small_family()
-    params = choose_params(16, 2, 4, 0.5, family=fam)
+    assert choose_params(16, 2, 4, 0.5, family=fam) is fam
     bound = 2 * fam.K + ceil_log2(fam.b) + 1
     for subset in itertools.combinations(range(1, 17), 2):
-        report = partition_tradeoff_election(list(subset), params)
+        report = partition_tradeoff_election(list(subset), fam)
         assert report.strict_success and report.easy_success
         assert report.leader in subset
         assert report.ledger.max_energy <= bound
 
 
 def test_partition_tradeoff_same_leader_under_both_sender_models():
-    params = choose_params(16, 2, 4, 0.5, family=small_family())
+    fam = small_family()
     for subset in ([3, 11], [1, 16], [7, 8]):
-        a = partition_tradeoff_election(subset, params, model=SE)
-        b = partition_tradeoff_election(subset, params, model=SC)
+        a = partition_tradeoff_election(subset, fam, model=SE)
+        b = partition_tradeoff_election(subset, fam, model=SC)
         assert a.leader == b.leader
 
 
 def test_partition_tradeoff_enforces_n_max():
-    params = choose_params(16, 2, 4, 0.5, family=small_family())
     with pytest.raises(ValueError):
-        partition_tradeoff_election([1, 2, 3], params)
+        partition_tradeoff_election([1, 2, 3], small_family())
 
 
 def test_bad_family_raises_no_leader():
@@ -143,9 +139,8 @@ def test_bad_family_raises_no_leader():
         N=8, b=4, K=2, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
         partitions=(lump, lump), certificate=Certificate("unverified"),
     )
-    params = TradeoffParams(case=2, family=fam)
     with pytest.raises(NoLeader) as exc:
-        partition_tradeoff_election([2, 5], params)
+        partition_tradeoff_election([2, 5], fam)
     report = exc.value.report
     assert not report.strict_success
     assert report.leader is None
@@ -186,10 +181,9 @@ def test_marked_devices_really_are_alone():
     # a transmitter hearing its own id back in a marking slot must be the
     # only member of its part; cross-check against the partition itself
     fam = small_family()
-    params = choose_params(16, 2, 4, 0.5, family=fam)
     span = 2 * fam.b
     for subset in ([3, 11], [1, 2], [6, 14], [15, 16]):
-        report = partition_tradeoff_election(subset, params)
+        report = partition_tradeoff_election(subset, fam)
         for rnd, dev, action, fb in report.transcript.events:
             offset_in_pass = rnd % span
             if action.kind != "transmit" or offset_in_pass >= fam.b:
@@ -204,9 +198,9 @@ def test_marked_devices_really_are_alone():
 
 
 def test_winner_ends_the_run_early():
-    params = choose_params(16, 2, 4, 0.5, family=small_family())
-    span = 2 * params.family.b
-    report = partition_tradeoff_election([3, 11], params)
+    fam = small_family()
+    span = 2 * fam.b
+    report = partition_tradeoff_election([3, 11], fam)
     announce_rounds = [
         rnd for rnd, _, action, _ in report.transcript.events
         if rnd % span == span - 1 and action.kind == "transmit"
@@ -217,25 +211,14 @@ def test_winner_ends_the_run_early():
 
 
 def test_schedule_length_formula():
+    # each iteration: b marking slots, the compact knockout over the b part
+    # indices, one announcement
     fam = small_family()
-    expected = fam.K * (fam.b + pairing_phase_len(fam.b, compact=True) + 1)
+    knockout, space = 0, fam.b
+    while space > 1:
+        knockout += pairing_level_len(space, compact=True)
+        space = (space + 1) // 2
     config = ProtocolConfig(model=SE, N=fam.N, family=fam)
-    assert PartitionTradeoffProgram.schedule_length(config) == expected
-    assert expected == fam.K * 2 * fam.b
+    assert PartitionTradeoffProgram.schedule_length(config) == fam.K * 2 * fam.b
+    assert fam.b + knockout + 1 == 2 * fam.b
 
-
-# --- strong-cd dispatch -----------------------------------------------------
-
-
-def test_strong_cd_dispatch_prefers_shorter_schedule():
-    # at this scale interval halving always wins the round count, and it
-    # elects the smallest present id
-    report = strong_cd_tradeoff_election([9, 10], 16, 2, 4, 0.5)
-    assert report.leader == 9
-    assert report.strict_success
-    assert report.rounds <= ceil_log2(16) + 2
-
-
-def test_strong_cd_dispatch_singleton():
-    report = strong_cd_tradeoff_election([7], 16, 1, 4, 0.5)
-    assert report.leader == 7

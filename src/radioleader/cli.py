@@ -69,6 +69,17 @@ PROGRAMS = {
 # the protocols that take a block width (--b)
 DENSE_WALKS = ("dense_simple", "dense_improved")
 
+# protocol option -> (what it is, the protocols that read it); --checks
+# reads only --N and --k
+OPTION_READERS = {
+    "b": ("the block width of the dense walks (dense_simple, dense_improved)",
+          DENSE_WALKS),
+    "k": ("the energy budget knob of halving and tradeoff",
+          ("halving", "tradeoff")),
+    "epsilon": ("the slack exponent of tradeoff", ("tradeoff",)),
+    "family": ("the partition family file of tradeoff", ("tradeoff",)),
+}
+
 CSV_HEADER = (
     "protocol,model,N,n,b,k,rounds,max_energy,strict,easy,transcript_hash"
 )
@@ -259,6 +270,20 @@ def _tradeoff_params(args, subsets: Sequence[Sequence[int]]):
                          seed=args.seed, family=family)
 
 
+def _refuse_unread_options(args) -> None:
+    """Raise ValueError naming the first protocol option that was given but
+    that the chosen protocol, or --checks, never reads."""
+    for option, (what, readers) in OPTION_READERS.items():
+        if getattr(args, option) is None:
+            continue
+        if args.checks:
+            if option != "k":
+                raise ValueError(f"--{option} is {what}; --checks reads "
+                                 "only --N and --k")
+        elif args.protocol not in readers:
+            raise ValueError(f"--{option} is {what}, not of {args.protocol}")
+
+
 def run_experiment(args):
     """Execute the experiment described by parsed args.
 
@@ -266,10 +291,8 @@ def run_experiment(args):
     attempt records); all four deterministic functions of the arguments.
     Transcripts are serialized only for --emit-transcripts."""
     model = _model_for(args)
+    _refuse_unread_options(args)
     dense = args.protocol in DENSE_WALKS
-    if args.b is not None and not dense:
-        raise ValueError("--b is the block width of the dense walks "
-                         f"({', '.join(DENSE_WALKS)}), not of {args.protocol}")
     subsets = generate_subsets(args)
     if dense and args.b is None:
         for devices in subsets:
@@ -347,6 +370,7 @@ def _checker_factories(args):
 
 
 def run_checks(args) -> List[Record]:
+    _refuse_unread_options(args)
     if args.N > 1 << 14:
         # pairing alone holds N canonical sequences of about N slots each
         raise ValueError("--checks refuses N > 2^14 (N^2 memory)")

@@ -39,10 +39,12 @@ its owner self-elects.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from operator import itemgetter
+from typing import List, Tuple
 
 from .channel import LISTEN, CdModel, transmit
 from .protocols_core import ceil_div, pairing_level_len, pairing_level_phase
@@ -457,32 +459,35 @@ class AttemptSummary:
     energy_max: int
 
 
+_event_round = itemgetter(0)
+_event_device = itemgetter(1)
+
+
 def _attempt_summaries(report: RunReport) -> Tuple[AttemptSummary, ...]:
-    """Per-attempt success, rounds and energy peak, in one pass over the
-    events: attempts tile the rounds from 0, so an event's attempt is the
-    first one ending after its round."""
+    """Per-attempt success, rounds and energy peak.  Events come in round
+    order and attempts tile the rounds from 0, so each attempt's events are
+    one slice of the transcript, found by bisecting the round column; the
+    events past the last attempt are the final self-election slot."""
     attempts, _ = exponential_plan(report.N, report.model)
-    ends = [att.end for att in attempts]
-    counts: List[Dict[int, int]] = [{} for _ in attempts]
-    success = [False] * len(attempts)
-    for rnd, dev, action, _ in report.transcript.events:
-        i = bisect_right(ends, rnd)
-        if i == len(attempts):
-            continue  # the final self-election slot
-        counts[i][dev] = counts[i].get(dev, 0) + 1
-        if rnd == attempts[i].test_slot and action.kind == "transmit":
-            success[i] = True
-    return tuple(
-        AttemptSummary(
+    events = report.transcript.events
+    out = []
+    lo = 0
+    for att in attempts:
+        hi = bisect_left(events, att.end, lo, key=_event_round)
+        counts = Counter(map(_event_device, events[lo:hi]))
+        t_lo = bisect_left(events, att.test_slot, lo, hi, key=_event_round)
+        t_hi = bisect_right(events, att.test_slot, t_lo, hi, key=_event_round)
+        success = any(e[2].kind == "transmit" for e in events[t_lo:t_hi])
+        out.append(AttemptSummary(
             index=att.index,
             space=att.space,
             b=att.b,
-            success=ok,
+            success=success,
             rounds=att.end - att.base,
-            energy_max=max(c.values()) if c else 0,
-        )
-        for att, c, ok in zip(attempts, counts, success)
-    )
+            energy_max=max(counts.values()) if counts else 0,
+        ))
+        lo = hi
+    return tuple(out)
 
 
 def exponential_search_election(devices, N: int, model: CdModel) -> RunReport:

@@ -23,11 +23,15 @@ The schedule holds one bucket of offers per occupied round and one heap
 entry per such round, so a slot costs one heap operation however many
 devices share it.  A slot is resolved by one `resolve_slot` call over its
 bucket, sorted into ascending device order (a bucket of one offer needs no
-sort).  Then, device by device in that order, the executor records the
-event, resumes the program with its feedback, and checks and buckets its
-next offer right there in the slot loop.  A program's first offer takes
-the same path: the run opens with a round -1 in which every device is
-resumed with None.  Device ids are plain ints: ids that `operator.index`
+sort), which returns what the slot's listeners hear and what its
+transmitters hear.  Then, device by device in that order, the executor
+picks the feedback of the device's action kind, records the event, resumes
+the program through its `send` (bound once per run), and checks and
+buckets its next offer right there in the slot loop.  A program's first
+offer takes the same path: the run opens with a round -1 in which every
+device is resumed with None.  Every offer listens or transmits, so a slot
+shows easy success exactly when it has one transmitter and more than one
+offer.  Device ids are plain ints: ids that `operator.index`
 accepts are converted, and bools and other non-integers are rejected
 before the run starts.
 
@@ -39,7 +43,8 @@ grow by a quarter, so the cost of a run would grow faster than its event
 count.  The collector is re-enabled on the way out only if it was enabled
 on entry.
 
-Energy is the number of non-idle slots per device; idling is free.
+Energy is the number of non-idle slots per device; idling is free.  It is
+tallied once the run ends, by counting the device column of the events.
 
 The transcript hash is a 64-bit FNV-1a fold, absorbed in this exact order:
 the header line ``model N rounds id1,id2,...`` followed by the serialized
@@ -55,12 +60,15 @@ h ^ byte as h + d, where d is the change of the low byte, makes the state
 after a chunk a polynomial in P: h·P^L plus the sum of d[i]·P^(L-i), one
 uint64 dot product against a table of powers of P built at import.  Inputs
 under 1 KiB, where the fixed cost of the numpy passes exceeds the loop's,
-take the per-byte loop.
+take the per-byte loop.  `hash64` formats, encodes and folds the events
+2,048 at a time, carrying the state from batch to batch, so the text of a
+whole transcript is never built at once.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from operator import index, itemgetter
@@ -159,13 +167,14 @@ class DeviceProgram:
 Event = Tuple[int, int, Action, Feedback]
 
 _device = itemgetter(0)  # sort key of a slot's (device, action) offers
+_event_device = itemgetter(1)
 
 
 def _payload_text(payload: Optional[Payload]) -> str:
     if payload is None:
         return "-"
     if isinstance(payload, tuple):
-        return ",".join(str(x) for x in payload)
+        return ",".join(map(str, payload))
     return str(payload)
 
 
@@ -184,11 +193,11 @@ _ACTION_TAG = {"idle": "I", "listen": "L", "transmit": "T"}
 
 def _event_lines(events: List[Event]) -> str:
     """The event lines of `Transcript.serialize`, each ending in a newline."""
-    return "".join(
+    return "".join([
         f"{rnd}\t{dev}\t{_ACTION_TAG[action.kind]}\t"
         f"{_payload_text(action.payload)}\t{_feedback_text(fb)}\n"
         for rnd, dev, action, fb in events
-    )
+    ])
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -196,6 +205,7 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SHORT = 1024  # below this many bytes the per-byte loop is faster
 _CHUNK = 1 << 16
+_BATCH = 2048  # events formatted, encoded and folded at a time by hash64
 # _POWERS[_CHUNK - L:] is P^L, ..., P^1 mod 2^64 (uint64 products wrap).
 _POWERS = np.cumprod(np.full(_CHUNK, _FNV_PRIME, np.uint64))[::-1]
 
@@ -250,7 +260,11 @@ class Transcript:
         ids = ",".join(str(i) for i in self.device_ids)
         header = f"{self.model.value} {self.N} {self.rounds} {ids}\n"
         h = _fnv1a(header.encode("ascii"))
-        return _fnv1a(_event_lines(self.events).encode("ascii"), h)
+        events = self.events
+        for start in range(0, len(events), _BATCH):
+            lines = _event_lines(events[start:start + _BATCH])
+            h = _fnv1a(lines.encode("ascii"), h)
+        return h
 
 
 @dataclass(frozen=True)
@@ -348,26 +362,27 @@ def run_programs(
     slots: Dict[int, List[Tuple[int, Action]]] = {}
     rounds: List[int] = []
     events: List[Event] = []
-    counts = {dev: 0 for dev in ids}
     easy = False
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         programs = {dev: factory(dev, config) for dev in ids}
-        gens = {dev: prog.run() for dev, prog in programs.items()}
+        sends = {dev: prog.run().send for dev, prog in programs.items()}
         # Round -1 starts every program: sending None is the first next().
         rnd = -1
         bucket = [(dev, None) for dev in ids]
-        feedback = dict.fromkeys(ids)
+        listener = transmitter = None
+        record = events.append
         while True:
             for dev, action in bucket:
-                fb = feedback[dev]
-                if action is not None:
-                    events.append((rnd, dev, action, fb))
-                    counts[dev] += 1
+                if action is None:
+                    fb = None
+                else:
+                    fb = listener if action.kind == "listen" else transmitter
+                    record((rnd, dev, action, fb))
                 try:
-                    item = gens[dev].send(fb)
+                    item = sends[dev](fb)
                 except StopIteration:
                     continue
                 if (
@@ -402,11 +417,10 @@ def run_programs(
             bucket = slots.pop(rnd)
             if len(bucket) > 1:
                 bucket.sort(key=_device)
-            outcome = resolve_slot(config.model, dict(bucket))
-            feedback = outcome.feedback
-            if not easy and outcome.transmitter_count == 1 and any(
-                a.kind == "listen" for _, a in bucket
-            ):
+            listener, transmitter, c, _ = resolve_slot(config.model, bucket)
+            # every offer listens or transmits, so a lone transmitter among
+            # several offers always has a listener
+            if c == 1 and len(bucket) > 1:
                 easy = True
 
         transcript = Transcript(
@@ -417,6 +431,8 @@ def run_programs(
             events=events,
         )
         verdicts = {dev: programs[dev].finish() for dev in ids}
+        counts = dict.fromkeys(ids, 0)
+        counts.update(Counter(map(_event_device, events)))
         ledger = EnergyLedger(counts=counts)
         report = RunReport(
             model=config.model,

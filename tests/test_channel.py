@@ -16,36 +16,46 @@ from radioleader.channel import (
 S, X, R, N = CdModel.STRONG_CD, CdModel.SENDER_CD, CdModel.RECEIVER_CD, CdModel.NO_CD
 
 
+def resolve_by_device(model, actions):
+    """Resolve a slot given as {device: action} and hand each device the
+    outcome's feedback for its action's kind (an idle device NO_FEEDBACK).
+    Returns (per-device feedback, outcome)."""
+    out = resolve_slot(model, sorted(actions.items()))
+    by_kind = {"listen": out.listener, "transmit": out.transmitter}
+    feedback = {d: by_kind.get(a.kind, NO_FEEDBACK) for d, a in actions.items()}
+    return feedback, out
+
+
 def test_lone_listener_hears_silence():
-    out = resolve_slot(S, {7: LISTEN})
-    assert out.feedback[7] == SILENCE
+    feedback, out = resolve_by_device(S, {7: LISTEN})
+    assert feedback[7] == SILENCE
     assert out.transmitter_count == 0
     assert out.delivered is None
 
 
 def test_sender_cd_collision_is_silence_everywhere():
-    out = resolve_slot(X, {1: transmit(10), 2: transmit(20), 3: LISTEN})
-    assert out.feedback == {1: SILENCE, 2: SILENCE, 3: SILENCE}
+    feedback, out = resolve_by_device(X, {1: transmit(10), 2: transmit(20), 3: LISTEN})
+    assert feedback == {1: SILENCE, 2: SILENCE, 3: SILENCE}
     assert out.delivered is None
 
 
 def test_no_cd_unique_delivery():
-    out = resolve_slot(N, {1: transmit(42), 2: LISTEN})
-    assert out.feedback[1] == NO_FEEDBACK
-    assert out.feedback[2] == received(42)
+    feedback, out = resolve_by_device(N, {1: transmit(42), 2: LISTEN})
+    assert feedback[1] == NO_FEEDBACK
+    assert feedback[2] == received(42)
     assert out.delivered == 42
 
 
 def test_strong_cd_transmitters_detect_collision():
-    out = resolve_slot(S, {1: transmit(1), 2: transmit(2)})
-    assert out.feedback[1] == COLLISION
-    assert out.feedback[2] == COLLISION
+    feedback, _ = resolve_by_device(S, {1: transmit(1), 2: transmit(2)})
+    assert feedback[1] == COLLISION
+    assert feedback[2] == COLLISION
 
 
 def test_idle_devices_learn_nothing():
     for model in CdModel:
-        out = resolve_slot(model, {1: IDLE, 2: transmit(5), 3: LISTEN})
-        assert out.feedback[1] == NO_FEEDBACK
+        feedback, _ = resolve_by_device(model, {1: IDLE, 2: transmit(5), 3: LISTEN})
+        assert feedback[1] == NO_FEEDBACK
 
 
 @pytest.mark.parametrize("c", [0, 1, 2, 3])
@@ -53,7 +63,7 @@ def test_delivered_iff_exactly_one_transmitter(c):
     actions = {i: transmit(100 + i) for i in range(1, c + 1)}
     actions[90] = LISTEN
     for model in CdModel:
-        out = resolve_slot(model, actions)
+        _, out = resolve_by_device(model, actions)
         assert out.transmitter_count == c
         if c == 1:
             assert out.delivered == 101
@@ -85,11 +95,11 @@ def test_weaker_feedback_is_coarsened_strong_feedback(model, c):
     actions = {i: transmit(i) for i in range(1, c + 1)}
     actions[50] = LISTEN
     actions[60] = IDLE
-    strong = resolve_slot(S, actions)
-    weak = resolve_slot(model, actions)
+    strong, _ = resolve_by_device(S, actions)
+    weak, _ = resolve_by_device(model, actions)
     for dev, act in actions.items():
         role = act.kind if act.kind != "transmit" else "transmit"
-        assert weak.feedback[dev] == _coarsen(model, role, strong.feedback[dev]), (
+        assert weak[dev] == _coarsen(model, role, strong[dev]), (
             model,
             dev,
             c,
@@ -101,8 +111,8 @@ def test_collision_never_reported_in_two_way_models():
         actions = {i: transmit(i) for i in range(1, c + 1)}
         actions[99] = LISTEN
         for model in (X, N):
-            out = resolve_slot(model, actions)
-            assert COLLISION not in out.feedback.values()
+            feedback, _ = resolve_by_device(model, actions)
+            assert COLLISION not in feedback.values()
 
 
 def test_model_partial_order():
@@ -139,12 +149,12 @@ def test_resolve_slot_total_and_deterministic(kinds, model):
         d: transmit(d) if k == "transmit" else (LISTEN if k == "listen" else IDLE)
         for d, k in kinds.items()
     }
-    a = resolve_slot(model, actions)
-    b = resolve_slot(model, actions)
+    feedback, a = resolve_by_device(model, actions)
+    _, b = resolve_by_device(model, actions)
     assert a == b
-    assert set(a.feedback) == set(actions)
+    assert set(feedback) == set(actions)
     # all listeners see the same thing
-    listener_fb = {a.feedback[d] for d, act in actions.items() if act.kind == "listen"}
+    listener_fb = {feedback[d] for d, act in actions.items() if act.kind == "listen"}
     assert len(listener_fb) <= 1
     assert (a.delivered is not None) == (a.transmitter_count == 1)
 
@@ -199,19 +209,31 @@ _any_action = st.one_of(
     model=st.sampled_from(list(CdModel)),
 )
 def test_resolve_slot_matches_reference(actions, model):
-    out = resolve_slot(model, actions)
+    got_feedback, out = resolve_by_device(model, actions)
     feedback, c, delivered = reference_resolve_slot(model, actions)
-    assert list(out.feedback) == list(feedback)
+    assert list(got_feedback) == list(feedback)
     for dev, fb in feedback.items():
-        got = out.feedback[dev]
+        got = got_feedback[dev]
         assert (got.kind, got.payload) == (fb.kind, fb.payload), (model, dev)
     assert out.transmitter_count == c
     assert out.delivered == delivered
 
 
+def test_lone_transmitter_alone_gets_no_listener_copy():
+    # nobody can hear it, so only the sender-side models build a copy
+    for model in CdModel:
+        out = resolve_slot(model, [(4, transmit(9))])
+        assert (out.transmitter_count, out.delivered) == (1, 9)
+        if model.sender_side:
+            assert out.listener == out.transmitter == received(9)
+        else:
+            assert (out.listener, out.transmitter) == (None, NO_FEEDBACK)
+
+
 def test_slot_outcome_repr():
-    out = resolve_slot(N, {1: LISTEN})
+    out = resolve_slot(N, [(1, LISTEN)])
     assert repr(out) == (
-        "SlotOutcome(feedback={1: Feedback(kind='silence', payload=None)}, "
+        "SlotOutcome(listener=Feedback(kind='silence', payload=None), "
+        "transmitter=Feedback(kind='none', payload=None), "
         "transmitter_count=0, delivered=None)"
     )

@@ -279,6 +279,63 @@ def test_b_is_refused_outside_the_dense_walks(capsys, monkeypatch):
         assert "error: --b is the block width of the dense walks" in err
 
 
+COUNTED = (
+    "pairing_election", "binary_search_election", "halving_tradeoff_election",
+    "partition_tradeoff_election", "dense_simple_election",
+    "dense_improved_election", "exponential_search_election", "choose_params",
+    "load_family", "canonical_sequences", "potential_active_slots",
+)
+
+
+def test_unread_options_are_refused_before_any_run(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        raise Reached
+
+    for name in COUNTED:
+        monkeypatch.setattr(cli, name, count)
+    base = ("--N", "8", "--n", "2", "--trials", "1")
+    values = {"k": "3", "epsilon": "0.5", "family": "/nonexistent/family"}
+    refused = [(proto, "k") for proto in ("pairing", "binary_search",
+                                          "dense_simple", "dense_improved",
+                                          "exponential")]
+    refused += [(proto, option) for proto in set(PROGRAMS) - {"tradeoff"}
+                for option in ("epsilon", "family")]
+    for proto, option in refused:
+        code, out, err = run_cli(capsys, "--protocol", proto, *base,
+                                 f"--{option}", values[option])
+        assert (code, out) == (2, ""), (proto, option)
+        assert err.startswith(f"error: --{option} is "), (proto, option)
+        assert f"not of {proto}" in err
+    for option, value in (("b", "4"), ("epsilon", "0.5"),
+                          ("family", "/nonexistent/family")):
+        code, out, err = run_cli(capsys, "--protocol", "halving", "--N", "8",
+                                 "--checks", f"--{option}", value)
+        assert (code, out) == (2, ""), option
+        assert err.startswith(f"error: --{option} is "), option
+        assert "--checks reads only --N and --k" in err
+    assert calls == []
+
+    # the options that are read still reach the drivers
+    for argv in (("--protocol", "halving", *base, "--k", "3"),
+                 ("--protocol", "tradeoff", *base, "--k", "3",
+                  "--epsilon", "0.5", "--family", "f"),
+                 ("--protocol", "pairing", "--N", "8", "--k", "3",
+                  "--checks")):
+        try:
+            main(list(argv))
+        except Reached:
+            pass
+        else:
+            raise AssertionError(f"{argv} did not reach a driver")
+    assert len(calls) == 3
+
+
 def test_dense_walks_check_every_set_before_any_run(tmp_path, capsys, monkeypatch):
     # without --b the block width needs n >= 2; a singleton listed last
     # must stop the experiment before its first run, not after two

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from bisect import bisect_right
 
 import pytest
 
@@ -395,6 +396,51 @@ def test_exponential_attempt_summaries_consistent():
     if succeeded:
         cutoff = next(a.test_slot for a in plan if a.index == succeeded[0].index)
         assert max(rnd for rnd, _, _, _ in r.transcript.events) == cutoff
+
+
+def reference_attempt_summaries(report):
+    """Per-event attempt tally that `_attempt_summaries` must agree with:
+    an event's attempt is the first one ending after its round."""
+    attempts, _ = exponential_plan(report.N, report.model)
+    ends = [att.end for att in attempts]
+    counts = [{} for _ in attempts]
+    success = [False] * len(attempts)
+    for rnd, dev, action, _ in report.transcript.events:
+        i = bisect_right(ends, rnd)
+        if i == len(attempts):
+            continue  # the final self-election slot
+        counts[i][dev] = counts[i].get(dev, 0) + 1
+        if rnd == attempts[i].test_slot and action.kind == "transmit":
+            success[i] = True
+    return tuple(
+        AttemptSummary(
+            index=att.index,
+            space=att.space,
+            b=att.b,
+            success=ok,
+            rounds=att.end - att.base,
+            energy_max=max(c.values()) if c else 0,
+        )
+        for att, c, ok in zip(attempts, counts, success)
+    )
+
+
+@pytest.mark.parametrize("model", list(CdModel), ids=lambda m: m.value)
+def test_attempt_summaries_match_per_event_reference(model):
+    rng = random.Random(11)
+    for N in range(1, 65):
+        start = rng.randrange(1, N + 1)
+        id_sets = [
+            rng.sample(range(1, N + 1), rng.randrange(1, N + 1)),
+            range(start, rng.randrange(start, N + 1) + 1),
+        ]
+        for ids in id_sets:
+            report = exponential_search_election(ids, N, model=model)
+            assert report.attempts == reference_attempt_summaries(report), (
+                N, sorted(ids))
+    N = 1 << 10
+    full = exponential_search_election(range(1, N + 1), N, model=model)
+    assert full.attempts == reference_attempt_summaries(full)
 
 
 def test_exponential_plan_is_shared_and_immutable():

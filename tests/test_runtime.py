@@ -14,7 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import radioleader
-from radioleader.channel import IDLE, LISTEN, Action, CdModel, resolve_slot, transmit
+from radioleader.channel import (
+    COLLISION,
+    IDLE,
+    LISTEN,
+    NO_FEEDBACK,
+    SILENCE,
+    Action,
+    CdModel,
+    received,
+    transmit,
+)
+from radioleader.cli import PROGRAMS
 from radioleader.dense import (
     census,
     dense_improved_election,
@@ -40,6 +51,7 @@ from radioleader.runtime import (
     Verdict,
     check_easy_success,
     check_strict_success,
+    _BATCH,
     _CHUNK,
     _SHORT,
     _event_lines,
@@ -53,6 +65,8 @@ from radioleader.tradeoff import (
     choose_params,
     partition_tradeoff_election,
 )
+
+from test_channel import resolve_by_device
 
 NO = CdModel.NO_CD
 
@@ -262,9 +276,11 @@ def test_transcript_events_re_resolve():
         for rnd, dev, action, fb in report.transcript.events:
             by_round.setdefault(rnd, {})[dev] = (action, fb)
         for rnd, entries in by_round.items():
-            outcome = resolve_slot(model, {d: a for d, (a, _) in entries.items()})
+            feedback, _ = resolve_by_device(
+                model, {d: a for d, (a, _) in entries.items()}
+            )
             for dev, (_, fb) in entries.items():
-                assert outcome.feedback[dev] == fb
+                assert feedback[dev] == fb
 
 
 def test_ledger_matches_independent_recount():
@@ -470,13 +486,13 @@ def reference_schedule(factory, ids, config):
         batch = {dev: o[1] for dev, o in offers.items() if o and o[0] == rnd}
         if not batch:
             continue
-        outcome = resolve_slot(config.model, batch)
+        feedback, outcome = resolve_by_device(config.model, batch)
         kinds = [a.kind for a in batch.values()]
         easy |= outcome.transmitter_count == 1 and "listen" in kinds
         for dev, action in batch.items():
-            events.append((rnd, dev, action, outcome.feedback[dev]))
+            events.append((rnd, dev, action, feedback[dev]))
             counts[dev] += 1
-            offers[dev] = _resume(gens[dev], outcome.feedback[dev])
+            offers[dev] = _resume(gens[dev], feedback[dev])
     return events, counts, easy
 
 
@@ -664,3 +680,60 @@ def test_transcript_hash_matches_reference_loop():
         assert report.transcript_hash == fnv1a_reference(data)
         longest = max(longest, len(data))
     assert longest > _CHUNK
+
+
+def _synthetic_transcript(count):
+    """A transcript of `count` events that cycles through every action and
+    feedback shape; the events need not come from a run to be hashed."""
+    feedback = (NO_FEEDBACK, SILENCE, COLLISION)
+    events = []
+    for i in range(count):
+        if i % 3 == 0:
+            action = transmit((i, i + 1) if i % 2 else i)
+        else:
+            action = LISTEN
+        fb = received(i) if i % 4 == 0 else feedback[i % 3]
+        events.append((i, 1 + i % 7, action, fb))
+    return Transcript(model=NO, N=7, rounds=max(count, 1),
+                      device_ids=tuple(range(1, 8)), events=events)
+
+
+@pytest.mark.parametrize("count", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                   3 * _BATCH + 7])
+def test_batched_hash_matches_reference_loop(count):
+    t = _synthetic_transcript(count)
+    ids = ",".join(str(i) for i in t.device_ids)
+    data = f"{t.model.value} {t.N} {t.rounds} {ids}\n" + t.serialize()
+    assert t.hash64() == fnv1a_reference(data.encode("ascii"))
+
+
+@st.composite
+def _drawn_runs(draw):
+    """(program class, device ids, config): any protocol in any model it
+    declares, N <= 64, with its parameter drawn where it takes one."""
+    name = draw(st.sampled_from(sorted(PROGRAMS)))
+    cls = PROGRAMS[name]
+    model = draw(st.sampled_from(cls.models))
+    family = None
+    if name == "tradeoff":
+        N = draw(st.sampled_from(sorted(GOLDEN_TRADEOFF_K)))
+        family = choose_params(N, 2, GOLDEN_TRADEOFF_K[N], 0.5,
+                               family=_golden_family(N))
+    else:
+        N = draw(st.integers(1, 64))
+    ids = draw(st.sets(st.integers(1, N), min_size=1))
+    k = draw(st.integers(1, 6)) if name == "halving" else None
+    b = draw(st.integers(1, N)) if name.startswith("dense") else None
+    return cls, sorted(ids), ProtocolConfig(model=model, N=N, k=k, b=b,
+                                            family=family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_drawn_runs())
+def test_executor_shortcuts_match_transcript_checks(run):
+    # the executor reads easy success off each slot and tallies energy at
+    # the end; both must agree with the checks that read the transcript
+    cls, ids, config = run
+    report = execute(cls, ids, config)
+    assert report.easy_success == check_easy_success(report.transcript)
+    assert report.ledger.counts == EnergyLedger.recount(report.transcript).counts

@@ -5,8 +5,9 @@
 Each execution becomes one CSV row; aggregates per (protocol, model, N) go
 to a sibling <out>.agg.csv.  Rows are sorted by a canonical key and floats
 are formatted with a fixed precision, so identical invocations produce
-byte-identical files.  `--checks` switches to the lower-bound checker
-battery and emits `check,protocol,N,k,t,result,witness` rows instead.
+byte-identical files.  `--checks` switches to the fixed lower-bound
+checker battery, which needs no `--protocol`, and emits
+`check,protocol,N,k,t,result,witness` rows instead.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .protocols_core import (
     halving_tradeoff_election,
     pairing_election,
 )
-from .runtime import DeviceProgram, ProtocolConfig, RunReport
+from .runtime import DeviceProgram, ProtocolConfig, RunReport, transcript_hashes
 from .tradeoff import (
     NoLeader,
     PartitionTradeoffProgram,
@@ -105,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="run leader-election experiments on a simulated "
         "single-hop radio channel",
     )
-    p.add_argument("--protocol", choices=PROGRAMS, required=True)
+    p.add_argument("--protocol", choices=PROGRAMS, default=None,
+                   help="the protocol to run; required except with --checks, "
+                        "which ignores it")
     p.add_argument("--model", default=None,
                    help="strong_cd | sender_cd | receiver_cd | no_cd "
                         "(default depends on the protocol)")
@@ -138,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV output path (default stdout)")
     p.add_argument("--json-out", metavar="FILE", default=None)
     p.add_argument("--checks", action="store_true",
-                   help="run the lower-bound checker battery instead")
+                   help="run the lower-bound checker battery instead; the "
+                        "battery is fixed (binary_search, halving, pairing), "
+                        "so it needs no --protocol")
     return p
 
 
@@ -302,9 +307,10 @@ def run_experiment(args):
     family = _tradeoff_params(args, subsets) if args.protocol == "tradeoff" \
         else None
 
+    runs = [_run_one(args, model, devices, family) for devices in subsets]
+    hashes = transcript_hashes(report.transcript for report, _, _ in runs)
     entries = []
-    for devices in subsets:
-        report, b_col, k_col = _run_one(args, model, devices, family)
+    for devices, (report, b_col, k_col), h in zip(subsets, runs, hashes):
         row = _record(
             CSV_HEADER,
             args.protocol,
@@ -317,7 +323,7 @@ def run_experiment(args):
             str(report.ledger.max_energy),
             str(report.strict_success).lower(),
             str(report.easy_success).lower(),
-            f"{report.transcript_hash:016x}",
+            f"{h:016x}",
         )
         entries.append((row, report))
 
@@ -434,6 +440,8 @@ def _write_json(path: str, payload) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.protocol is None and not args.checks:
+        parser.error("--protocol is required unless --checks is given")
 
     if args.N < 1:
         print("--N must be at least 1", file=sys.stderr)

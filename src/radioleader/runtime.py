@@ -50,19 +50,25 @@ The transcript hash is a 64-bit FNV-1a fold, absorbed in this exact order:
 the header line ``model N rounds id1,id2,...`` followed by the serialized
 event lines (exactly the text of `Transcript.serialize`), every line
 terminated by a newline.  Two runs agree on the hash iff they agree on the
-header and the full event sequence.  The value is the plain per-byte
-FNV-1a, h = ((h ^ byte) * P) mod 2^64, but long inputs are folded in
-64 KiB chunks with numpy instead of one Python step per byte.  The XOR
-touches only the low byte of h, and the low byte of a product depends only
-on the low bytes of its factors, so the low byte runs as its own 8-bit
-automaton, computed one bit plane at a time as a prefix XOR.  Writing
+header and the full event sequence.  A run does not hash its transcript:
+`RunReport.transcript_hash` is computed on first read, and
+`transcript_hashes` hashes many transcripts in one pass.
+
+The value is the plain per-byte FNV-1a, h = ((h ^ byte) * P) mod 2^64,
+folded with numpy 64 KiB at a time.  The text is streamed, 2,048 ids or
+events at a time, into one buffer shared by every transcript of the pass,
+so the text of a whole transcript is never built at once; each transcript
+is a segment of the buffer, and one that runs past the end of the buffer
+carries its state into the next.  The XOR touches only the low byte of h,
+and the low byte of a product depends only on the low bytes of its
+factors, so the low byte runs as its own 8-bit automaton, computed one bit
+plane at a time as a prefix XOR restarted at each segment.  Writing
 h ^ byte as h + d, where d is the change of the low byte, makes the state
-after a chunk a polynomial in P: h·P^L plus the sum of d[i]·P^(L-i), one
-uint64 dot product against a table of powers of P built at import.  Inputs
-under 1 KiB, where the fixed cost of the numpy passes exceeds the loop's,
-take the per-byte loop.  `hash64` formats, encodes and folds the events
-2,048 at a time, carrying the state from batch to batch, so the text of a
-whole transcript is never built at once.
+at the end b of a segment a polynomial in P: h·P^(b-a) plus the sum of
+d[i]·P^(b-i).  Weighting every d[i] by P^(L-i), for a buffer of L bytes,
+gives all the segment sums in one `np.add.reduceat`, each P^(L-b) too
+high; P is odd, so a table of powers of its inverse mod 2^64 scales them
+back.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ import gc
 from collections import Counter
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import index, itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -202,42 +209,101 @@ def _event_lines(events: List[Event]) -> str:
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_SHORT = 1024  # below this many bytes the per-byte loop is faster
-_CHUNK = 1 << 16
-_BATCH = 2048  # events formatted, encoded and folded at a time by hash64
-# _POWERS[_CHUNK - L:] is P^L, ..., P^1 mod 2^64 (uint64 products wrap).
-_POWERS = np.cumprod(np.full(_CHUNK, _FNV_PRIME, np.uint64))[::-1]
+_CHUNK = 1 << 16  # bytes folded in one numpy pass
+_BATCH = 2048  # device ids or events formatted and encoded at a time
 
 
-def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a of `data` from state `h`: h = ((h ^ byte) * P) mod 2^64
-    per byte."""
-    if len(data) < _SHORT:
-        for byte in data:
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-        return h
-    for start in range(0, len(data), _CHUNK):
-        c = np.frombuffer(data, np.uint8, min(_CHUNK, len(data) - start), start)
-        # The low byte l of the state runs on its own:
-        # l' = ((l ^ c) * 0xB3) & 0xFF.  Bit j of l' is bit j of l ^ c
-        # XOR bit j of ((l ^ c) mod 2^j) * 0xB3, so bit plane j is a prefix
-        # XOR over terms made of the planes below it.
-        low = np.zeros(len(c), np.uint8)
-        plane = np.empty(len(c), bool)
-        for j in range(8):
-            x = (low ^ c) & ((1 << j) - 1)
-            flips = ((c ^ x * 0xB3) >> j) & 1
-            plane[0] = (h >> j) & 1
-            np.logical_xor.accumulate(flips[:-1].view(bool), out=plane[1:])
-            plane[1:] ^= plane[0]
-            low |= plane.view(np.uint8) << j
-        # h ^ c = h + d with d = (l ^ c) - l, so the state after the chunk
-        # is h·P^L + sum of d[i]·P^(L-i), all mod 2^64.
-        d = np.subtract(low ^ c, low, dtype=np.int64)
-        powers = _POWERS[_CHUNK - len(c):]
-        h = (h * int(powers[0]) + int(np.dot(d.view(np.uint64), powers))) & _MASK64
-    return h
+def _powers(base: int) -> np.ndarray:
+    """base^0, ..., base^_CHUNK mod 2^64 (uint64 products wrap)."""
+    out = np.ones(_CHUNK + 1, np.uint64)
+    np.cumprod(np.full(_CHUNK, base, np.uint64), out=out[1:])
+    return out
+
+
+_POW = _powers(_FNV_PRIME)
+_INV_POW = _powers(pow(_FNV_PRIME, -1, 1 << 64))  # P is odd, so invertible
+
+
+def _fold(data: bytearray, length: int, starts: List[int],
+          owners: List[int], states: List[int]) -> None:
+    """Absorb data[:length] into `states`: segment j of the buffer runs
+    from starts[j] to the next start (or `length`) and continues the
+    FNV-1a state states[owners[j]], which it replaces."""
+    c = np.frombuffer(data, np.uint8, length)
+    begin = np.array(starts, np.intp)
+    sizes = np.diff(begin, append=length)
+    h = np.array([states[i] for i in owners], np.uint64)
+    h_low = h.astype(np.uint8)
+    # The low byte l of the state runs on its own:
+    # l' = ((l ^ c) * 0xB3) & 0xFF.  Bit j of l' is bit j of l ^ c XOR bit
+    # j of ((l ^ c) mod 2^j) * 0xB3, so bit plane j is a prefix XOR over
+    # terms made of the planes below it, restarted at each segment.
+    low = np.zeros(length, np.uint8)
+    plane = np.zeros(length, bool)
+    for j in range(8):
+        x = (low ^ c) & ((1 << j) - 1)
+        flips = ((c ^ x * 0xB3) >> j) & 1
+        plane[0] = False
+        np.logical_xor.accumulate(flips[:-1].view(bool), out=plane[1:])
+        plane ^= np.repeat(plane[begin] ^ ((h_low >> j) & 1).view(bool), sizes)
+        low |= plane.view(np.uint8) << j
+    # h ^ c = h + d with d = (l ^ c) - l, so a segment from a to b ends in
+    # h·P^(b-a) + sum of d[i]·P^(b-i).  Weighting d[i] by P^(length-i)
+    # sums every segment in one reduceat, P^(length-b) too high.
+    d = np.subtract(low ^ c, low, dtype=np.int64).view(np.uint64)
+    d *= _POW[length:0:-1]
+    sums = np.add.reduceat(d, begin)
+    ends = h * _POW[sizes] + sums * _INV_POW[length - begin - sizes]
+    for i, end in zip(owners, ends.tolist()):
+        states[i] = end
+
+
+def _fnv1a_streams(streams: Iterable[Iterable[bytes]]) -> List[int]:
+    """The 64-bit FNV-1a, h = ((h ^ byte) * P) mod 2^64 per byte, of each
+    stream of byte pieces.  The pieces go into one buffer, folded each time
+    it holds _CHUNK bytes, so a stream may share a buffer with others or
+    span several."""
+    states: List[int] = []
+    buf = bytearray()
+    starts: List[int] = []  # where each stream's bytes begin in buf
+    owners: List[int] = []  # and the index of that stream
+    for stream in streams:
+        me = len(states)
+        states.append(_FNV_OFFSET)
+        for piece in stream:
+            if not piece:
+                continue
+            if not owners or owners[-1] != me:
+                starts.append(len(buf))
+                owners.append(me)
+            buf += piece
+            while len(buf) >= _CHUNK:
+                _fold(buf, _CHUNK, starts, owners, states)
+                del buf[:_CHUNK]
+                starts, owners = ([0], [me]) if buf else ([], [])
+    if buf:
+        _fold(buf, len(buf), starts, owners, states)
+    return states
+
+
+def _hashed_pieces(t: "Transcript") -> Iterable[bytes]:
+    """The bytes `Transcript.hash64` absorbs, _BATCH ids or events at a
+    time: the header line, then the event lines of `serialize`."""
+    ids, events = t.device_ids, t.events
+    text = f"{t.model.value} {t.N} {t.rounds} " + ",".join(map(str, ids[:_BATCH]))
+    for start in range(_BATCH, len(ids), _BATCH):
+        yield text.encode("ascii")
+        text = "," + ",".join(map(str, ids[start:start + _BATCH]))
+    text += "\n" + _event_lines(events[:_BATCH])
+    for start in range(_BATCH, len(events), _BATCH):
+        yield text.encode("ascii")
+        text = _event_lines(events[start:start + _BATCH])
+    yield text.encode("ascii")
+
+
+def transcript_hashes(transcripts: Iterable["Transcript"]) -> List[int]:
+    """`Transcript.hash64` of each transcript, all folded in one pass."""
+    return _fnv1a_streams(map(_hashed_pieces, transcripts))
 
 
 @dataclass
@@ -257,14 +323,7 @@ class Transcript:
         return _event_lines(self.events)
 
     def hash64(self) -> int:
-        ids = ",".join(str(i) for i in self.device_ids)
-        header = f"{self.model.value} {self.N} {self.rounds} {ids}\n"
-        h = _fnv1a(header.encode("ascii"))
-        events = self.events
-        for start in range(0, len(events), _BATCH):
-            lines = _event_lines(events[start:start + _BATCH])
-            h = _fnv1a(lines.encode("ascii"), h)
-        return h
+        return transcript_hashes([self])[0]
 
 
 @dataclass(frozen=True)
@@ -294,10 +353,14 @@ class RunReport:
     ledger: EnergyLedger
     strict_success: bool
     easy_success: bool
-    transcript_hash: int
     rounds: int
     transcript: Transcript
     attempts: Optional[tuple] = None
+
+    @cached_property
+    def transcript_hash(self) -> int:
+        """`Transcript.hash64`, computed on first read."""
+        return self.transcript.hash64()
 
     @property
     def leader(self) -> Optional[int]:
@@ -442,7 +505,6 @@ def run_programs(
             ledger=ledger,
             strict_success=check_strict_success(verdicts),
             easy_success=easy,
-            transcript_hash=transcript.hash64(),
             rounds=total_rounds,
             transcript=transcript,
         )
@@ -463,9 +525,8 @@ def execute(
     report, _ = run_programs(factory, devices, config)
     if check_replay:
         replay, _ = run_programs(factory, devices, config)
-        if replay.transcript_hash != report.transcript_hash:
-            raise NonDeterminism(
-                f"replay diverged: {report.transcript_hash:#x} vs "
-                f"{replay.transcript_hash:#x}"
-            )
+        first, second = transcript_hashes([report.transcript, replay.transcript])
+        report.transcript_hash = first  # fills the cached property
+        if second != first:
+            raise NonDeterminism(f"replay diverged: {first:#x} vs {second:#x}")
     return report

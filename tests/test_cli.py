@@ -217,6 +217,22 @@ def test_checks_mode(capsys):
                      "potential_active_slots"}
 
 
+def test_checks_need_no_protocol(capsys):
+    # the battery is fixed, so --protocol changes nothing and may be left out
+    code, out, _ = run_cli(capsys, "--N", "16", "--checks")
+    assert code == 0
+    for proto in ("pairing", "dense_simple"):
+        assert run_cli(capsys, "--protocol", proto, "--N", "16", "--checks") \
+            == (0, out, "")
+    try:
+        main(["--N", "16"])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        raise AssertionError("a run without --protocol was accepted")
+    assert "--protocol is required unless --checks is given" in capsys.readouterr().err
+
+
 def test_checks_refuse_n_above_2_to_the_14_before_any_replay(capsys, monkeypatch):
     # the battery holds N canonical sequences of about N slots each
     class Replayed(Exception):

@@ -6,6 +6,7 @@ import itertools
 import pkgutil
 import random
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import radioleader
+from radioleader import cli, runtime
 from radioleader.channel import (
     COLLISION,
     IDLE,
@@ -53,11 +55,11 @@ from radioleader.runtime import (
     check_strict_success,
     _BATCH,
     _CHUNK,
-    _SHORT,
     _event_lines,
-    _fnv1a,
+    _fnv1a_streams,
     execute,
     run_programs,
+    transcript_hashes,
 )
 from radioleader.tradeoff import (
     NoLeader,
@@ -628,14 +630,14 @@ def test_golden_transcript_hashes():
 # --- the FNV-1a fold --------------------------------------------------------
 
 def fnv1a_reference(data):
-    """The per-byte FNV-1a loop that `_fnv1a` must reproduce."""
+    """The per-byte FNV-1a loop that the segmented fold must reproduce."""
     h = 0xCBF29CE484222325
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
-FOLD_LENGTHS = [*range(65), _SHORT - 1, _SHORT, _SHORT + 1,
+FOLD_LENGTHS = [*range(65), 1023, 1024, 1025,
                 _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
 
 
@@ -643,14 +645,36 @@ FOLD_LENGTHS = [*range(65), _SHORT - 1, _SHORT, _SHORT + 1,
 def test_fold_matches_reference_loop(length):
     rng = random.Random(length)
     for data in (rng.randbytes(length), bytes(length), b"\xff" * length):
-        assert _fnv1a(data) == fnv1a_reference(data)
+        assert _fnv1a_streams([[data]]) == [fnv1a_reference(data)]
+
+
+def test_fold_of_many_streams_in_one_call():
+    # every fold length in one call, twice over so that each stream starts
+    # at another offset of a buffer, each split into pieces at random cuts
+    rng = random.Random(7)
+    lengths = FOLD_LENGTHS * 2
+    rng.shuffle(lengths)
+    datas = [rng.randbytes(n) for n in lengths]
+    streams = []
+    for data in datas:
+        cuts = sorted(rng.choices(range(len(data) + 1), k=rng.randrange(4)))
+        bounds = [0, *cuts, len(data)]
+        streams.append([data[i:j] for i, j in zip(bounds, bounds[1:])])
+    assert _fnv1a_streams(streams) == [fnv1a_reference(d) for d in datas]
+    # a stream ending on a buffer boundary, then an empty one
+    datas = [bytes(_CHUNK - 3), b"abc", b"", b"d"]
+    assert _fnv1a_streams([[d] for d in datas]) == [fnv1a_reference(d) for d in datas]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.binary(max_size=_SHORT),
-                 st.binary(min_size=_SHORT, max_size=3 * _SHORT)))
-def test_fold_matches_reference_loop_on_drawn_bytes(data):
-    assert _fnv1a(data) == fnv1a_reference(data)
+@given(pad=st.integers(0, _CHUNK),
+       streams=st.lists(st.lists(st.binary(max_size=3 * 1024), max_size=4),
+                        max_size=8))
+def test_fold_matches_reference_loop_on_drawn_bytes(pad, streams):
+    # a seeded stream of `pad` bytes first puts the drawn ones anywhere
+    # against the buffer boundaries
+    streams = [[random.Random(pad).randbytes(pad)], *streams]
+    assert _fnv1a_streams(streams) == [fnv1a_reference(b"".join(s)) for s in streams]
 
 
 def _transcript_runs():
@@ -698,13 +722,88 @@ def _synthetic_transcript(count):
                       device_ids=tuple(range(1, 8)), events=events)
 
 
+def _hashed_text(t):
+    ids = ",".join(str(i) for i in t.device_ids)
+    return f"{t.model.value} {t.N} {t.rounds} {ids}\n{t.serialize()}".encode("ascii")
+
+
 @pytest.mark.parametrize("count", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
                                    3 * _BATCH + 7])
 def test_batched_hash_matches_reference_loop(count):
     t = _synthetic_transcript(count)
-    ids = ",".join(str(i) for i in t.device_ids)
-    data = f"{t.model.value} {t.N} {t.rounds} {ids}\n" + t.serialize()
-    assert t.hash64() == fnv1a_reference(data.encode("ascii"))
+    assert t.hash64() == fnv1a_reference(_hashed_text(t))
+
+
+def _synthetic_transcript_of_length(length):
+    """A synthetic transcript whose hashed text is `length` bytes: the most
+    events that fit, then digits added to the round count."""
+    lo, hi = 0, length
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if len(_hashed_text(_synthetic_transcript(mid))) <= length:
+            lo = mid
+        else:
+            hi = mid - 1
+    t = _synthetic_transcript(lo)
+    t.rounds *= 10 ** (length - len(_hashed_text(t)))
+    assert len(_hashed_text(t)) == length
+    return t
+
+
+def test_transcript_hashes_of_many_transcripts_in_one_call():
+    transcripts = [_synthetic_transcript(0), _synthetic_transcript(1)]
+    transcripts += [_synthetic_transcript_of_length(n)
+                    for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1)]
+    transcripts += [_synthetic_transcript(0), _synthetic_transcript(5 * _BATCH),
+                    _synthetic_transcript(1)]
+    texts = [_hashed_text(t) for t in transcripts]
+    assert transcript_hashes(transcripts) == [fnv1a_reference(d) for d in texts]
+    # the long transcript straddles three buffers
+    start = sum(map(len, texts[:6]))
+    assert (start + len(texts[6]) - 1) // _CHUNK - start // _CHUNK == 2
+
+
+def test_hashing_happens_only_when_asked(monkeypatch):
+    folds = []
+    fold = runtime._fold
+    monkeypatch.setattr(runtime, "_fold", lambda *args: folds.append(1) or fold(*args))
+
+    run_programs(BinarySearchElectionProgram, [2, 5], ProtocolConfig(CdModel.STRONG_CD, 8))
+    census(1, 8, [2, 5, 7])
+    pairing_reduce_once([1, 2, 3], 4)
+    report = pairing_election([1, 2, 3], 4)
+    assert folds == []
+    assert report.transcript_hash == report.transcript_hash
+    assert len(folds) == 1
+
+    folds.clear()
+    replayed = execute(BinarySearchElectionProgram, [2, 5],
+                       ProtocolConfig(CdModel.STRONG_CD, 8), check_replay=True)
+    assert replayed.transcript_hash == replayed.transcript.hash64()
+    assert len(folds) == 2  # one for both runs of the replay check, one asked
+
+    for argv in (["--protocol", "pairing", "--N", "6", "--subsets", "all"],
+                 ["--protocol", "exponential", "--N", "16", "--n", "4"]):
+        folds.clear()
+        rows = cli.run_experiment(cli.build_parser().parse_args(argv))[0]
+        assert len(rows) > 1 and len(folds) == 1, argv
+
+
+def test_hashing_streams_the_transcript():
+    # the hashed text of a full-density pairing run at 2^16 is about
+    # 3.75 MB; hashing it must never hold much of it at once
+    N = 1 << 16
+    report = pairing_election(range(1, N + 1), N)
+    size = sum(map(len, runtime._hashed_pieces(report.transcript)))
+    tracemalloc.start()
+    try:
+        value = report.transcript_hash
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == report.transcript.hash64()
+    assert size > 3_500_000
+    assert peak < 2_000_000, peak
 
 
 @st.composite

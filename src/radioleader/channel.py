@@ -61,20 +61,6 @@ class CdModel(Enum):
         """True when listeners can tell collision from silence."""
         return self in (CdModel.STRONG_CD, CdModel.RECEIVER_CD)
 
-    def is_strictly_stronger(self, other: "CdModel") -> bool:
-        """Strict partial order on model capability.
-
-        strong_cd dominates everything; sender_cd and receiver_cd each
-        dominate no_cd but are incomparable with each other.
-        """
-        if self is other:
-            return False
-        if self is CdModel.STRONG_CD:
-            return True
-        if other is CdModel.NO_CD:
-            return self in (CdModel.SENDER_CD, CdModel.RECEIVER_CD)
-        return False
-
     @classmethod
     def parse(cls, text: str) -> "CdModel":
         key = text.strip().lower().replace("-", "_")

@@ -48,7 +48,7 @@ from .protocols_core import (
     halving_tradeoff_election,
     pairing_election,
 )
-from .runtime import DeviceProgram, ProtocolConfig, RunReport, transcript_hashes
+from .runtime import ProtocolConfig, RunReport, transcript_hashes
 from .tradeoff import (
     NoLeader,
     PartitionTradeoffProgram,
@@ -70,8 +70,8 @@ PROGRAMS = {
 # the protocols that take a block width (--b)
 DENSE_WALKS = ("dense_simple", "dense_improved")
 
-# protocol option -> (what it is, the protocols that read it); --checks
-# reads only --N and --k
+# run option -> (what it is, the protocols that read it); of these,
+# --checks reads only --k
 OPTION_READERS = {
     "b": ("the block width of the dense walks (dense_simple, dense_improved)",
           DENSE_WALKS),
@@ -79,6 +79,9 @@ OPTION_READERS = {
           ("halving", "tradeoff")),
     "epsilon": ("the slack exponent of tradeoff", ("tradeoff",)),
     "family": ("the partition family file of tradeoff", ("tradeoff",)),
+    "model": ("the collision-detection model of the runs", PROGRAMS),
+    "assert-success": ("the strict-success gate of the runs", PROGRAMS),
+    "emit-transcripts": ("the transcript directory of the runs", PROGRAMS),
 }
 
 CSV_HEADER = (
@@ -204,36 +207,21 @@ def generate_subsets(args) -> List[List[int]]:
     if args.subsets == "density":
         if not args.density:
             raise ValueError("--subsets density needs --density")
-        rng = random.Random(args.seed)
-        subsets = []
-        for c in _parse_density(args.density):
-            n = max(1, round(c * N))
-            subsets.append(sorted(rng.sample(range(1, N + 1), n)))
-        return subsets
-    # random
-    if args.n is None:
-        raise ValueError("--subsets random needs --n (subset size)")
-    if not (1 <= args.n <= N):
-        raise ValueError("need 1 <= n <= N")
+        sizes = [max(1, round(c * N)) for c in _parse_density(args.density)]
+    else:  # random
+        if args.n is None:
+            raise ValueError("--subsets random needs --n (subset size)")
+        if not (1 <= args.n <= N):
+            raise ValueError("need 1 <= n <= N")
+        sizes = [args.n] * args.trials
     rng = random.Random(args.seed)
-    return [
-        sorted(rng.sample(range(1, N + 1), args.n))
-        for _ in range(args.trials)
-    ]
-
-
-def _default_model(program: type[DeviceProgram]) -> CdModel:
-    """The weakest model the program is defined for; for every program the
-    declared models have exactly one."""
-    models = program.models
-    (weakest,) = [m for m in models
-                  if not any(m.is_strictly_stronger(o) for o in models)]
-    return weakest
+    return [sorted(rng.sample(range(1, N + 1), n)) for n in sizes]
 
 
 def _model_for(args) -> CdModel:
+    """--model, or the protocol's weakest: its last, in CdModel order."""
     if args.model is None:
-        return _default_model(PROGRAMS[args.protocol])
+        return PROGRAMS[args.protocol].models[-1]
     return CdModel.parse(args.model)
 
 
@@ -276,10 +264,11 @@ def _tradeoff_params(args, subsets: Sequence[Sequence[int]]):
 
 
 def _refuse_unread_options(args) -> None:
-    """Raise ValueError naming the first protocol option that was given but
+    """Raise ValueError naming the first run option that was given but
     that the chosen protocol, or --checks, never reads."""
     for option, (what, readers) in OPTION_READERS.items():
-        if getattr(args, option) is None:
+        value = getattr(args, option.replace("-", "_"))
+        if value is None or value is False:
             continue
         if args.checks:
             if option != "k":

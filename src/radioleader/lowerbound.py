@@ -19,7 +19,6 @@ implementations at desk scale:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -32,6 +31,7 @@ from .runtime import DeviceProgram, ProtocolConfig, Verdict
 # strong style: transmitters are told there was a collision.
 RECEIVER_STYLE = "receiver"
 STRONG_STYLE = "strong"
+REPLAY_BUDGET = 1 << 20  # most replays potential_active_slots may take
 
 
 def _forced_feedback(action_kind: str, style: str) -> Feedback:
@@ -106,13 +106,11 @@ def _masks(sequence: str) -> Tuple[int, int]:
     return nonidle, tx
 
 
-def matching_count(sequences: Sequence[str], k: int,
-                   trials: Optional[int] = None) -> int:
+def matching_count(sequences: Sequence[str], k: int) -> int:
     """Max over pattern words w in {L,T}^t of how many sequences match w,
     where a sequence matches iff every non-idle position agrees with w.
 
-    Exhaustive when trials is None (needs t <= 20); otherwise a lower
-    bound from `trials` words drawn with random.Random(0).
+    Exhaustive over all 2^t words, so it needs t <= 20.
     Sequences must share one length t and have <= k non-idle positions."""
     if not sequences:
         return 0
@@ -126,29 +124,20 @@ def matching_count(sequences: Sequence[str], k: int,
             raise ValueError(f"sequence exceeds the energy budget k={k}")
         masks.append((nonidle, tx))
 
-    if trials is None:
-        if t > 20:
-            raise ValueError("exhaustive matching needs t <= 20; pass trials")
-        counts = [0] * (1 << t)
-        full = (1 << t) - 1
-        for nonidle, tx in masks:
-            free = full & ~nonidle
-            # enumerate submasks of the free positions; w = tx | submask
-            sub = free
-            while True:
-                counts[tx | sub] += 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-        return max(counts)
-
-    rng = random.Random(0)
-    best = 0
-    for _ in range(trials):
-        w = rng.getrandbits(t)
-        hits = sum(1 for nonidle, tx in masks if (w & nonidle) == tx)
-        best = max(best, hits)
-    return best
+    if t > 20:
+        raise ValueError(f"matching needs t <= 20, got t={t}")
+    counts = [0] * (1 << t)
+    full = (1 << t) - 1
+    for nonidle, tx in masks:
+        free = full & ~nonidle
+        # enumerate submasks of the free positions; w = tx | submask
+        sub = free
+        while True:
+            counts[tx | sub] += 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return max(counts)
 
 
 def sequence_budget(t: int, k: int) -> int:
@@ -166,7 +155,13 @@ def potential_active_slots(factory, device_id: int, config: ProtocolConfig,
     """Count the slots the device can possibly be non-idle in, over every
     adversarial feedback history (each non-idle step answered with either
     collision or silence).  Raises BudgetExceeded if any branch uses more
-    than k non-idle slots; otherwise the count is at most 2^k."""
+    than k non-idle slots; otherwise the count is at most 2^k.  Raises
+    ValueError before the first replay when the up to 2^(min(k, t)+1)
+    replays, for a schedule of t slots, exceed REPLAY_BUDGET."""
+    t = factory.schedule_length(config)
+    if min(k, t) + 1 >= REPLAY_BUDGET.bit_length():
+        raise ValueError(f"k={k} on a schedule of {t} slots may take "
+                         f"2^{min(k, t) + 1} replays, over REPLAY_BUDGET")
     active = set()
 
     def explore(prefix: List[Feedback]):
@@ -190,7 +185,7 @@ def potential_active_slots(factory, device_id: int, config: ProtocolConfig,
 
     explore([])
     count = len(active)
-    assert count <= (1 << k)
+    assert count <= 1 << min(k, t)
     return count
 
 

@@ -95,10 +95,6 @@ class Certificate:
     n_max: Optional[int] = None
     trials: Optional[int] = None
 
-    @property
-    def verified(self) -> bool:
-        return self.mode != "unverified"
-
     def token(self) -> str:
         if self.mode == "exhaustive":
             return f"exhaustive:{self.n_max}"

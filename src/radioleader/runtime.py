@@ -520,13 +520,17 @@ def execute(
     config: ProtocolConfig,
     check_replay: bool = False,
 ) -> RunReport:
-    """Run a protocol once; with check_replay=True run it twice and require
-    bit-identical transcripts (guards against hidden run-to-run state)."""
+    """Run a protocol once; with check_replay=True run it twice and raise
+    NonDeterminism at the first event where the two transcripts differ."""
     report, _ = run_programs(factory, devices, config)
     if check_replay:
-        replay, _ = run_programs(factory, devices, config)
-        first, second = transcript_hashes([report.transcript, replay.transcript])
-        report.transcript_hash = first  # fills the cached property
-        if second != first:
-            raise NonDeterminism(f"replay diverged: {first:#x} vs {second:#x}")
+        replay, _ = run_programs(factory, report.device_ids, config)
+        if replay.transcript != report.transcript:
+            runs = (report.transcript.events, replay.transcript.events)
+            i = next((i for i, (a, b) in enumerate(zip(*runs)) if a != b),
+                     min(map(len, runs)))
+            first, second = (events[i] if i < len(events)
+                             else "end of transcript" for events in runs)
+            raise NonDeterminism(
+                f"replay diverged at event {i}: {first} vs {second}")
     return report

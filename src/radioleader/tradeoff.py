@@ -74,7 +74,7 @@ def choose_params(
         raise InvalidParams("epsilon must lie strictly between 0 and 1")
     if not (1 <= n <= N):
         raise InvalidParams("need 1 <= n <= N")
-    log_n_space = ceil_log2(N) if N >= 1 else 0
+    log_n_space = ceil_log2(N)
     loglog = ceil_log2(log_n_space) if log_n_space >= 1 else 0
     if k < max(1, loglog):
         raise InvalidParams(f"k={k} is below ceil(log log N)={max(1, loglog)}")

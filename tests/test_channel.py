@@ -115,18 +115,6 @@ def test_collision_never_reported_in_two_way_models():
             assert COLLISION not in feedback.values()
 
 
-def test_model_partial_order():
-    assert S.is_strictly_stronger(X)
-    assert S.is_strictly_stronger(R)
-    assert S.is_strictly_stronger(N)
-    assert X.is_strictly_stronger(N)
-    assert R.is_strictly_stronger(N)
-    assert not X.is_strictly_stronger(R)
-    assert not R.is_strictly_stronger(X)
-    for m in CdModel:
-        assert not m.is_strictly_stronger(m)
-
-
 def test_parse_aliases():
     assert CdModel.parse("strong") is S
     assert CdModel.parse("Sender-CD") is X

@@ -8,7 +8,8 @@ from radioleader.cli import (
     CHECK_HEADER,
     CSV_HEADER,
     PROGRAMS,
-    _default_model,
+    build_parser,
+    generate_subsets,
     main,
 )
 from radioleader.dense import choose_dense_b
@@ -80,7 +81,11 @@ def test_seed_selects_the_subsets(capsys):
 
 
 def test_default_model_is_the_weakest_declared_model():
-    assert {name: _default_model(cls).value for name, cls in PROGRAMS.items()} == {
+    def default(name):
+        return cli._model_for(build_parser().parse_args(
+            ["--protocol", name, "--N", "8"])).value
+
+    assert {name: default(name) for name in PROGRAMS} == {
         "pairing": "no_cd",
         "binary_search": "receiver_cd",
         "halving": "strong_cd",
@@ -89,6 +94,24 @@ def test_default_model_is_the_weakest_declared_model():
         "dense_improved": "no_cd",
         "exponential": "no_cd",
     }
+
+
+def test_subset_draws_are_pinned():
+    # literals recorded before density and random sets shared one sampler
+    def draws(*argv):
+        return generate_subsets(build_parser().parse_args(
+            ["--protocol", "pairing", "--N", "32", *argv]))
+
+    density = ("--subsets", "density", "--density", "1/4,1/8,1/32")
+    assert draws(*density, "--seed", "1") == [
+        [3, 4, 9, 19, 25, 26, 28, 32], [25, 29, 31, 32], [14]]
+    assert draws(*density, "--seed", "2") == [
+        [3, 4, 6, 12, 22, 24, 27, 31], [3, 14, 17, 20], [11]]
+    random_sets = ("--n", "4", "--trials", "3")
+    assert draws(*random_sets, "--seed", "1") == [
+        [5, 8, 9, 17], [25, 29, 31, 32], [2, 7, 14, 32]]
+    assert draws(*random_sets, "--seed", "2") == [
+        [4, 6, 11, 24], [3, 14, 17, 20], [11, 24, 26, 28]]
 
 
 def test_inadmissible_model_exits_2(capsys):
@@ -252,6 +275,35 @@ def test_checks_refuse_n_above_2_to_the_14_before_any_replay(capsys, monkeypatch
         pass
     else:
         raise AssertionError("N = 2^14 did not reach the replays")
+
+
+def test_checks_refuse_run_options_before_any_replay(tmp_path, capsys,
+                                                     monkeypatch):
+    class Replayed(Exception):
+        pass
+
+    def replay(*args):
+        raise Replayed
+
+    monkeypatch.setattr(cli, "canonical_sequences", replay)
+    directory = tmp_path / "transcripts"
+    for flag, *value in (("--model", "no_cd"), ("--assert-success",),
+                         ("--emit-transcripts", str(directory))):
+        code, out, err = run_cli(capsys, "--N", "16", "--checks", flag, *value)
+        assert (code, out) == (2, ""), flag
+        assert err.startswith(f"error: {flag} is "), flag
+        assert "--checks reads only --N and --k" in err
+    assert not directory.exists()
+
+    # the options the benchmark sweep passes along stay accepted
+    try:
+        run_cli(capsys, "--protocol", "pairing", "--N", "16", "--checks",
+                "--seed", "3", "--out", str(tmp_path / "checks.csv"),
+                "--json-out", str(tmp_path / "checks.json"))
+    except Replayed:
+        pass
+    else:
+        raise AssertionError("--checks with accepted options did not replay")
 
 
 def test_checks_json(tmp_path, capsys):

@@ -147,19 +147,6 @@ def test_matching_validation():
         matching_count(["TTT"], k=2)  # weight 3 over budget 2
     with pytest.raises(ValueError):
         matching_count(["I" * 24], k=1)  # exhaustive space too large
-    assert matching_count(["I" * 24, "T" + "I" * 23], k=1, trials=200) >= 1
-
-
-def test_matching_sampled_never_beats_exhaustive():
-    seqs = [
-        canonical_sequence(BinarySearchElectionProgram, i, cfg(16))
-        for i in range(1, 17)
-    ]
-    k = max(sum(ch != "I" for ch in s) for s in seqs)
-    exact = matching_count(seqs, k=k)
-    sampled = matching_count(seqs, k=k, trials=500)
-    assert sampled <= exact
-    assert exact >= -(-16 // (1 << k))  # ceil(N / 2^k)
 
 
 def test_matching_floor_for_low_energy_protocol():
@@ -221,3 +208,18 @@ def test_potential_active_slots_budget_enforcement():
         potential_active_slots(BinarySearchElectionProgram, 3, cfg(8), k=3)
     with pytest.raises(BudgetExceeded):
         potential_active_slots(ListenOnceProgram, 1, cfg(4), k=0)
+
+
+def test_potential_active_slots_refuses_a_deep_tree_before_any_replay():
+    class NeverReplayed(BinarySearchElectionProgram):
+        def run(self):
+            raise AssertionError("a replay started")
+
+    # a tree of min(40, 31) = 31 levels would take 2^32 replays
+    with pytest.raises(ValueError, match=r"k=40 on a schedule of 31 slots"):
+        potential_active_slots(NeverReplayed, 3, cfg(1 << 30), k=40)
+    # at most 2^20 replays (t = 19) fit the budget; 2^21 (t = 20) do not
+    with pytest.raises(AssertionError, match="a replay started"):
+        potential_active_slots(NeverReplayed, 3, cfg(1 << 18), k=40)
+    with pytest.raises(ValueError, match=r"schedule of 20 slots may take 2\^21"):
+        potential_active_slots(NeverReplayed, 3, cfg(1 << 19), k=40)

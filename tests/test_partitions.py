@@ -111,11 +111,11 @@ def test_generate_family_spec_points():
 
     # seed named in the worked example
     fam1 = generate_family(16, 4, 0.5, n_max=2, seed=1)
-    assert fam1.certificate.verified
+    assert fam1.certificate.mode != "unverified"
 
     # n_max=1 is trivially fine whatever the draw
     trivial = generate_family(8, 8, 0.5, n_max=1)
-    assert trivial.certificate.verified
+    assert trivial.certificate.mode != "unverified"
 
     with pytest.raises(ValueError):
         generate_family(16, 2, 0.5, n_max=4)  # 4 > 2^{0.5}

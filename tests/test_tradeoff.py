@@ -177,6 +177,21 @@ def test_replay_check_catches_a_shifting_partition():
         execute(PartitionTradeoffProgram, [4, 9], config, check_replay=True)
 
 
+def test_replay_divergence_names_the_first_differing_event():
+    # the replay keeps counting part() calls, so device 4 marks a later slot
+    fam = small_family()
+    shifty = PartitionFamily(
+        N=fam.N, b=fam.b, K=fam.K, epsilon_tilde=0.5, n_max=fam.n_max, seed=0,
+        c_const=8, partitions=(ShiftingPartition(fam.b),) * fam.K,
+        certificate=Certificate("unverified"),
+    )
+    config = ProtocolConfig(model=SE, N=fam.N, family=shifty)
+    mark = "Action(kind='transmit', payload=4), Feedback(kind='received', payload=4))"
+    with pytest.raises(NonDeterminism) as info:
+        execute(PartitionTradeoffProgram, [4, 9], config, check_replay=True)
+    assert str(info.value) == f"replay diverged at event 0: (0, 4, {mark} vs (2, 4, {mark}"
+
+
 def test_marked_devices_really_are_alone():
     # a transmitter hearing its own id back in a marking slot must be the
     # only member of its part; cross-check against the partition itself

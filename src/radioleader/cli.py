@@ -48,7 +48,12 @@ from .protocols_core import (
     halving_tradeoff_election,
     pairing_election,
 )
-from .runtime import ProtocolConfig, RunReport, transcript_hashes
+from .runtime import (
+    ProtocolConfig,
+    RunReport,
+    collector_paused,
+    transcript_hashes,
+)
 from .tradeoff import (
     NoLeader,
     PartitionTradeoffProgram,
@@ -296,8 +301,11 @@ def run_experiment(args):
     family = _tradeoff_params(args, subsets) if args.protocol == "tradeoff" \
         else None
 
-    runs = [_run_one(args, model, devices, family) for devices in subsets]
-    hashes = transcript_hashes(report.transcript for report, _, _ in runs)
+    # every report stays alive until the bulk hash, and they form no
+    # cycles, so one pause spares the collector re-walking them all
+    with collector_paused():
+        runs = [_run_one(args, model, devices, family) for devices in subsets]
+        hashes = transcript_hashes(report.transcript for report, _, _ in runs)
     entries = []
     for devices, (report, b_col, k_col), h in zip(subsets, runs, hashes):
         row = _record(

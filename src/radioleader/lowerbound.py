@@ -32,6 +32,7 @@ from .runtime import DeviceProgram, ProtocolConfig, Verdict
 RECEIVER_STYLE = "receiver"
 STRONG_STYLE = "strong"
 REPLAY_BUDGET = 1 << 20  # most replays potential_active_slots may take
+_T, _L = b"TL"  # the byte values of a sequence's non-idle letters
 
 
 def _forced_feedback(action_kind: str, style: str) -> Feedback:
@@ -48,18 +49,17 @@ def canonical_sequence(factory, device_id: int, config: ProtocolConfig,
     device does when it never hears a message and never delivers one."""
     if style not in (RECEIVER_STYLE, STRONG_STYLE):
         raise ValueError(f"unknown feedback style {style!r}")
-    total = factory.schedule_length(config)
-    out = ["I"] * total
+    out = bytearray(b"I") * factory.schedule_length(config)
     program = factory(device_id, config)
     gen = program.run()
     try:
         rnd, action = next(gen)
         while True:
-            out[rnd] = "T" if action.kind == "transmit" else "L"
+            out[rnd] = _T if action.kind == "transmit" else _L
             rnd, action = gen.send(_forced_feedback(action.kind, style))
     except StopIteration:
         pass
-    return "".join(out)
+    return out.decode("ascii")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .runtime import (
 )
 
 DUMMY = 0
+_SEND_DUMMY = transmit(DUMMY)  # one shared action for every dummy slot
 
 
 def ceil_log2(n: int) -> int:
@@ -80,7 +81,7 @@ def pairing_level_phase(cid: int, space: int, base: int = 0, compact: bool = Fal
     pair = (cid + 1) // 2
     if cid % 2 == 1:
         if pair <= pairing_level_len(space, compact):
-            yield (base + pair - 1, transmit(DUMMY))
+            yield (base + pair - 1, _SEND_DUMMY)
         return True, pair
     fb = yield (base + pair - 1, LISTEN)
     return fb.kind != "received", pair
@@ -126,7 +127,7 @@ def interval_halving_phase(pos: int, space: int, probes: int, base: int = 0):
             continue
         mid = lo + (size + 1) // 2 - 1
         if pos <= mid:
-            yield (base + t, transmit(DUMMY))
+            yield (base + t, _SEND_DUMMY)
             hi = mid
         else:
             fb = yield (base + t, LISTEN)

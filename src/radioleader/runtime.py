@@ -35,13 +35,19 @@ offer.  Device ids are plain ints: ids that `operator.index`
 accepts are converted, and bools and other non-integers are rejected
 before the run starts.
 
-The cyclic garbage collector is paused for the duration of a run: a run
-allocates hundreds of thousands of containers (event tuples, actions,
-feedback, generator frames) that form no cycles, and the generational
-collector would traverse all of them again each time the surviving objects
-grow by a quarter, so the cost of a run would grow faster than its event
-count.  The collector is re-enabled on the way out only if it was enabled
-on entry.
+The cyclic garbage collector is paused by one context manager,
+`collector_paused`, around a run and around a whole CLI sweep (every run
+of the sweep and the bulk hash of its transcripts).  A run allocates
+hundreds of thousands of containers (event tuples, actions, feedback,
+generator frames) that form no cycles, and a sweep keeps every report
+alive until it hashes them; the generational collector would traverse all
+of them again each time the surviving objects grow by a quarter, so the
+cost would grow faster than the event count.  The collector is re-enabled
+on the way out, also on an exception, only if it was enabled on entry, so
+the pause of a run inside a sweep changes nothing.  A Verdict is built
+like channel's slot objects, without the dataclass __init__, and a
+program's outcome fields (won, rank, leader_id) are class-level defaults
+that a device shadows only once it sets them.
 
 Energy is the number of non-idle slots per device; idling is free.  It is
 tallied once the run ends, by counting the device column of the events.
@@ -75,11 +81,12 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import index, itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -131,6 +138,12 @@ class Verdict:
     rank: Optional[int] = None
 
 
+# a Verdict is built without its generated __init__ (module docstring)
+_new = object.__new__
+_verdict_is_leader = Verdict.__dict__["is_leader"].__set__
+_verdict_rank = Verdict.__dict__["rank"].__set__
+
+
 class DeviceProgram:
     """Base class for device automatons; subclasses implement run().
 
@@ -138,13 +151,13 @@ class DeviceProgram:
     protocol is defined for."""
 
     models: Tuple[CdModel, ...] = tuple(CdModel)
+    won = False  # outcome defaults, shadowed once a device sets them
+    rank: Optional[int] = None
+    leader_id: Optional[int] = None
 
     def __init__(self, device_id: int, config: ProtocolConfig):
         self.device_id = device_id
         self.config = config
-        self.won = False
-        self.rank: Optional[int] = None
-        self.leader_id: Optional[int] = None
 
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
@@ -155,7 +168,10 @@ class DeviceProgram:
         raise NotImplementedError
 
     def finish(self) -> Verdict:
-        return Verdict(is_leader=self.won, rank=self.rank)
+        verdict = _new(Verdict)
+        _verdict_is_leader(verdict, self.won)
+        _verdict_rank(verdict, self.rank)
+        return verdict
 
     # Shared final slot: the winner transmits its id, everyone else listens.
     # Returns whether this device now knows the leader.
@@ -400,6 +416,19 @@ def _device_id(dev) -> int:
     raise ValueError(f"device ids must be integers, not {dev!r}")
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the body (module docstring);
+    pauses nest."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_programs(
     factory: type[DeviceProgram],
     devices: Iterable[int],
@@ -427,9 +456,7 @@ def run_programs(
     events: List[Event] = []
     easy = False
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         programs = {dev: factory(dev, config) for dev in ids}
         sends = {dev: prog.run().send for dev, prog in programs.items()}
         # Round -1 starts every program: sending None is the first next().
@@ -508,9 +535,6 @@ def run_programs(
             rounds=total_rounds,
             transcript=transcript,
         )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return report, programs
 
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,9 @@ from radioleader.channel import (
     LISTEN,
     NO_FEEDBACK,
     SILENCE,
+    Action,
     CdModel,
+    Feedback,
     received,
     resolve_slot,
     transmit,
@@ -225,3 +229,27 @@ def test_slot_outcome_repr():
         "transmitter=Feedback(kind='none', payload=None), "
         "transmitter_count=0, delivered=None)"
     )
+
+
+PAYLOADS = st.one_of(st.integers(0, 1 << 40),
+                     st.lists(st.integers(0, 1 << 20), max_size=5).map(tuple))
+
+
+@given(PAYLOADS)
+def test_fast_built_slot_objects_match_dataclass_built(payload):
+    # transmit and received skip the generated __init__; the objects they
+    # build must be indistinguishable from ones built through it
+    for fast, slow in ((transmit(payload), Action("transmit", payload)),
+                       (received(payload), Feedback("received", payload))):
+        assert type(fast) is type(slow)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert repr(fast) == repr(slow)
+        for name in ("kind", "payload"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(fast, name, 1)
+
+
+def test_silent_slots_share_one_outcome():
+    quiet = resolve_slot(S, [(1, LISTEN)])
+    assert resolve_slot(N, [(2, LISTEN), (3, LISTEN)]) is quiet
+    assert quiet == (SILENCE, NO_FEEDBACK, 0, None)

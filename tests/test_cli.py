@@ -1,4 +1,7 @@
+import gc
 import json
+
+import pytest
 
 from radioleader import cli
 from radioleader.channel import CdModel
@@ -433,3 +436,46 @@ def test_assert_success_failure_exit(capsys):
     code, _, _ = run_cli(capsys, "--protocol", "dense_simple", "--N", "8",
                          "--b", "4", "--ids", "5,6,7,8", "--assert-success")
     assert code == 0
+
+
+SWEEP = ["--protocol", "exponential", "--N", "8", "--subsets", "all"]
+
+
+def test_sweep_leaves_no_cyclic_garbage():
+    # run_experiment pauses the collector across the whole sweep; that is
+    # only free if the sweep builds no reference cycles for it to find
+    gc.collect()
+    rows, _, _, attempts = cli.run_experiment(build_parser().parse_args(SWEEP))
+    assert len(rows) == 2**8 - 1 and attempts
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("fail_at", [None, 5])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sweep_restores_the_collector_state(monkeypatch, fail_at, enabled):
+    # paused for every run of the sweep, and left as it was found, also
+    # when a run raises part-way
+    states = []
+    run_one = cli._run_one
+
+    def spy(*args):
+        states.append(gc.isenabled())
+        if len(states) == fail_at:
+            raise RuntimeError("run failed")
+        return run_one(*args)
+
+    monkeypatch.setattr(cli, "_run_one", spy)
+    args = build_parser().parse_args(SWEEP)
+    if not enabled:
+        gc.disable()
+    try:
+        if fail_at is None:
+            cli.run_experiment(args)
+        else:
+            with pytest.raises(RuntimeError, match="run failed"):
+                cli.run_experiment(args)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert states and not any(states)
+    assert len(states) == (fail_at or 2**8 - 1)

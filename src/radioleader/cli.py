@@ -302,7 +302,9 @@ def run_experiment(args):
         else None
 
     # every report stays alive until the bulk hash, and they form no
-    # cycles, so one pause spares the collector re-walking them all
+    # cycles, so one pause spares the collector re-walking them all; its
+    # end promotes them to the oldest generation, so building the rows
+    # starts no young collection over them either
     with collector_paused():
         runs = [_run_one(args, model, devices, family) for devices in subsets]
         hashes = transcript_hashes(report.transcript for report, _, _ in runs)

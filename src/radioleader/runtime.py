@@ -44,7 +44,17 @@ alive until it hashes them; the generational collector would traverse all
 of them again each time the surviving objects grow by a quarter, so the
 cost would grow faster than the event count.  The collector is re-enabled
 on the way out, also on an exception, only if it was enabled on entry, so
-the pause of a run inside a sweep changes nothing.  A Verdict is built
+the pause of a run inside a sweep changes nothing.  Before it re-enables
+the collector, the outermost pause promotes every tracked object to the
+oldest generation: `gc.freeze()` splices each generation's list onto the
+permanent one and zeroes the young count, and `gc.unfreeze()` splices
+that list onto the oldest generation, in constant time whatever the
+number of objects.  Otherwise the first allocation after the pause would
+start a young collection that walks everything the run built and still
+holds.  A full collection still finds any cycle among the promoted
+objects.  When the caller has frozen objects of its own
+(`gc.get_freeze_count()` is nonzero) the promotion is skipped, since
+`unfreeze` would release them too.  A Verdict is built
 like channel's slot objects, without the dataclass __init__, and a
 program's outcome fields (won, rank, leader_id) are class-level defaults
 that a device shadows only once it sets them.
@@ -418,14 +428,17 @@ def _device_id(dev) -> int:
 
 @contextmanager
 def collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for the body (module docstring);
-    pauses nest."""
+    """Pause the cyclic garbage collector for the body and promote what it
+    leaves alive to the oldest generation (module docstring); pauses nest."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

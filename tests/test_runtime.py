@@ -7,6 +7,7 @@ import pkgutil
 import random
 import re
 import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError
 from functools import partial
 
@@ -419,6 +420,62 @@ def test_run_restores_the_collector_state():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_run_starts_no_collection():
+    # the pause's end promotes the run's objects to the oldest generation,
+    # so no young collection walks them once the collector is back on
+    gc.collect()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        pairing_election(range(1, 1025), 1024)
+    finally:
+        gc.callbacks.remove(hook)
+    assert gc.isenabled() and starts == []
+
+
+def test_run_keeps_the_callers_frozen_objects():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen
+        run_programs(make_script({1: [(0, Action("transmit", 1))]}), [1], cfg(4))
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+class _Node:
+    pass
+
+
+class CycleProgram(ScriptProgram):
+    """Builds a self-referencing node during the run and keeps only a
+    weak reference to it."""
+
+    nodes = []
+
+    def run(self):
+        node = _Node()
+        node.self = node
+        self.nodes.append(weakref.ref(node))
+        yield 0, Action("transmit", self.device_id)
+
+
+def test_a_cycle_built_in_a_run_is_still_collected():
+    # promoted objects wait for a full collection, which still finds cycles
+    CycleProgram.nodes = []
+    run_programs(CycleProgram, [1, 2], cfg(4))
+    assert len(CycleProgram.nodes) == 2
+    assert all(ref() is not None for ref in CycleProgram.nodes)
+    gc.collect()
+    assert all(ref() is None for ref in CycleProgram.nodes)
 
 
 GARBAGE_N = 256

@@ -9,7 +9,6 @@ from .channel import (
     resolve_slot,
 )
 from .dense import (
-    CensusResult,
     census,
     choose_dense_b,
     dense_improved_election,
@@ -42,7 +41,6 @@ from .protocols_core import (
     binary_search_election,
     halving_tradeoff_election,
     pairing_election,
-    pairing_reduce_once,
 )
 from .runtime import (
     DeviceProgram,
@@ -67,7 +65,6 @@ __all__ = [
     "Action",
     "BudgetExceeded",
     "CdModel",
-    "CensusResult",
     "Certificate",
     "DeviceProgram",
     "EnergyLedger",
@@ -99,7 +96,6 @@ __all__ = [
     "load_family",
     "matching_count",
     "pairing_election",
-    "pairing_reduce_once",
     "partition_tradeoff_election",
     "potential_active_slots",
     "resolve_slot",

@@ -13,6 +13,7 @@ checker battery, which needs no `--protocol`, and emits
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -108,6 +109,7 @@ def _record(header: str, *cells: str) -> Record:
     return dict(zip(header.split(","), cells, strict=True))
 
 
+@functools.cache  # parsing never mutates the parser, so every call shares one
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="radioleader",
@@ -218,6 +220,8 @@ def generate_subsets(args) -> List[List[int]]:
             raise ValueError("--subsets random needs --n (subset size)")
         if not (1 <= args.n <= N):
             raise ValueError("need 1 <= n <= N")
+        if args.trials < 1:
+            raise ValueError("--subsets random needs --trials >= 1")
         sizes = [args.n] * args.trials
     rng = random.Random(args.seed)
     return [sorted(rng.sample(range(1, N + 1), n)) for n in sizes]

@@ -58,10 +58,6 @@ from .runtime import (
 )
 
 
-def dense_blocks(space: int, b: int) -> List[Tuple[int, int]]:
-    return [(lo, min(space, lo + b - 1)) for lo in range(1, space + 1, b)]
-
-
 # ---------------------------------------------------------------------------
 # census
 
@@ -135,18 +131,6 @@ def census_phase(pos: int, ident: int, block_size: int, base: int = 0):
     return full, full.index(ident) + 1, len(full)
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    members: Tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def index(self, ident: int) -> int:
-        return self.members.index(ident) + 1
-
-
 class _CensusProgram(DeviceProgram):
     """One census over the block [1..config.N]."""
 
@@ -160,15 +144,16 @@ class _CensusProgram(DeviceProgram):
         )
 
 
-def census(lo: int, hi: int, present) -> CensusResult:
+def census(lo: int, hi: int, present) -> Tuple[int, ...]:
     """Standalone census over the id range [lo..hi]; `present` is the set of
     ids that actually exist there.  Every present device ends up knowing the
     same ascending member list, its own index, and the size.  The run
     itself sees the ids shifted to [1..hi - lo + 1], under no_cd: a slot
-    has one transmitter at most, so no model changes it."""
-    ids = sorted({_device_id(d) for d in present})
+    has one transmitter at most, so no model changes it.  Returns that
+    ascending tuple of present ids, () when there are none."""
+    ids = tuple(sorted({_device_id(d) for d in present}))
     if not ids:
-        return CensusResult(members=())
+        return ()
     if ids[0] < lo or ids[-1] > hi:
         raise ValueError(f"present ids must lie in [{lo}, {hi}]")
     shifted = tuple(i - lo + 1 for i in ids)
@@ -177,7 +162,7 @@ def census(lo: int, hi: int, present) -> CensusResult:
     for dev, prog in programs.items():
         if prog.view != (shifted, shifted.index(dev) + 1, len(shifted)):
             raise AssertionError(f"census views disagree for device {dev + lo - 1}")
-    return CensusResult(members=tuple(ids))
+    return ids
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from math import comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .channel import COLLISION, NO_FEEDBACK, SILENCE, Feedback
-from .runtime import DeviceProgram, ProtocolConfig, Verdict
+from .runtime import ProtocolConfig
 
 # Feedback styles for the adversarial channel that never delivers a message.
 # receiver style: transmitters learn nothing (their side has no feedback);
@@ -188,21 +188,3 @@ def potential_active_slots(factory, device_id: int, config: ProtocolConfig,
     assert count <= 1 << min(k, t)
     return count
 
-
-class IdObliviousProgram(DeviceProgram):
-    """Deliberately broken fixture: every device transmits in every one of
-    its 4 slots regardless of id, so no pair of ids can be separated."""
-
-    @classmethod
-    def schedule_length(cls, config) -> int:
-        return 4
-
-    def run(self):
-        from .channel import transmit
-
-        for rnd in range(4):
-            yield (rnd, transmit(self.device_id))
-
-    def finish(self) -> Verdict:
-        # claims victory by id alone, never by what happened on the channel
-        return Verdict(is_leader=self.device_id == 1)

@@ -30,7 +30,7 @@ disagree.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .channel import LISTEN, CdModel, transmit
 from .runtime import (
@@ -38,7 +38,7 @@ from .runtime import (
     ProtocolConfig,
     RunReport,
     execute,
-    run_programs,
+    run_programs,  # noqa: F401  (kept importable here: perfbench counts this copy)
 )
 
 DUMMY = 0
@@ -196,19 +196,6 @@ class HalvingTradeoffProgram(DeviceProgram):
         yield from self.announce(probes + inner_len, won)
 
 
-class PairingReduceProgram(DeviceProgram):
-    """One standalone knockout level; survival is reported, nobody leads."""
-
-    @classmethod
-    def schedule_length(cls, config: ProtocolConfig) -> int:
-        return pairing_level_len(config.N)
-
-    def run(self):
-        self.survived, self.new_id = yield from pairing_level_phase(
-            self.device_id, self.config.N
-        )
-
-
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -232,14 +219,3 @@ def halving_tradeoff_election(
     config = ProtocolConfig(model=model, N=N, k=k)
     return execute(HalvingTradeoffProgram, devices, config)
 
-
-def pairing_reduce_once(devices, N: int) -> Tuple[Dict[int, int], RunReport]:
-    """Run one knockout level and return {surviving id: new id} over the
-    halved id space [1..ceil(N/2)], along with the run report.  A slot has
-    one transmitter at most, so the run uses no_cd: no model changes it."""
-    config = ProtocolConfig(model=CdModel.NO_CD, N=N)
-    report, programs = run_programs(PairingReduceProgram, devices, config)
-    survivors = {
-        dev: prog.new_id for dev, prog in programs.items() if prog.survived
-    }
-    return survivors, report

@@ -405,17 +405,6 @@ def check_strict_success(verdicts: Dict[int, Verdict]) -> bool:
     return sum(1 for v in verdicts.values() if v.is_leader) == 1
 
 
-def check_easy_success(transcript: Transcript) -> bool:
-    """Some round has exactly one transmitter and at least one listener."""
-    per_round: Dict[int, List[str]] = {}
-    for rnd, _, action, _ in transcript.events:
-        per_round.setdefault(rnd, []).append(action.kind)
-    for kinds in per_round.values():
-        if kinds.count("transmit") == 1 and "listen" in kinds:
-            return True
-    return False
-
-
 def _device_id(dev) -> int:
     """A device id as a plain int: bools and non-integers are rejected."""
     if not isinstance(dev, bool):

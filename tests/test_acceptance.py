@@ -22,7 +22,6 @@ from radioleader.dense import (
     exponential_search_election,
 )
 from radioleader.lowerbound import (
-    IdObliviousProgram,
     potential_active_slots,
     sequence_budget,
     uniqueness_check,
@@ -43,6 +42,8 @@ from radioleader.protocols_core import (
 )
 from radioleader.runtime import ProtocolConfig, execute
 from radioleader.tradeoff import choose_params, partition_tradeoff_election
+
+from test_lowerbound import IdObliviousProgram
 
 GRID = [2**6, 2**8, 2**10, 2**12, 2**14, 2**16]
 

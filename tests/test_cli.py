@@ -75,6 +75,17 @@ def test_bad_arguments_exit_2(capsys):
     assert run_cli(capsys, "--protocol", "pairing", "--N", "8")[0] == 2
 
 
+def test_random_subsets_need_a_trial(tmp_path, capsys):
+    # refused with the other --n checks, not by max() over no sets
+    for trials in ("0", "-3"):
+        out = tmp_path / f"trials{trials}.csv"
+        code, stdout, err = run_cli(capsys, "--protocol", "pairing", "--N", "8",
+                                    "--n", "2", "--trials", trials, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == "error: --subsets random needs --trials >= 1\n"
+        assert not out.exists()
+
+
 def test_seed_selects_the_subsets(capsys):
     argv = ["--protocol", "binary_search", "--N", "64", "--n", "6",
             "--trials", "4"]
@@ -443,13 +454,22 @@ SWEEP = ["--protocol", "exponential", "--N", "8", "--subsets", "all"]
 
 def test_sweep_leaves_no_cyclic_garbage():
     # run_experiment pauses the collector across the whole sweep; that is
-    # only free if the sweep builds no reference cycles for it to find.  A
-    # dropped parser is cyclic garbage of its own, so it is built and
-    # dropped before the first collect
+    # only free if the sweep builds no reference cycles for it to find
     args = build_parser().parse_args(SWEEP)
     gc.collect()
     rows, _, _, attempts = cli.run_experiment(args)
     assert len(rows) == 2**8 - 1 and attempts
+    assert gc.collect() == 0
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(tmp_path):
+    # the parser is built once per process, not dropped by every call as a
+    # cycle that only a full collection would find
+    argv = ["--protocol", "pairing", "--N", "8", "--n", "2", "--trials", "2",
+            "--out", str(tmp_path / "runs.csv")]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
     assert gc.collect() == 0
 
 

@@ -1,6 +1,7 @@
 """Every name a package or test module imports is used in that module, the
-package's `__all__` lists exactly its public names, and one function of the
-package sets the collector policy.
+package's `__all__` lists exactly its public names, one function of the
+package sets the collector policy, and the package defines nothing that
+only its tests read.
 
 No linter ships with the project, so this walks each module's syntax tree
 instead: an import whose name never appears as an identifier in the same
@@ -13,10 +14,16 @@ The same walk finds every call of `gc.disable`, `gc.enable`, `gc.freeze`
 and `gc.unfreeze` (and every `from gc import` of them) in the package:
 only `runtime.collector_paused` may make one, so pausing and promoting
 stay in one place.
+
+Another walk keeps the package to what its callers use: each top-level
+`def` or `class` in `src/radioleader/` is read by package code outside its
+own definition or listed in `radioleader.__all__`.  Fixtures and
+references that only tests read live in the tests.
 """
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,6 +50,65 @@ def unused_imports(source: str):
                 imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def unread_definitions(sources, exported=()):
+    """(module, name) of every top-level def or class in `sources` (module
+    name -> source text) that no module reads outside that definition and
+    `exported` does not list.  A read is a loaded name or attribute; an
+    import is not one."""
+    reads = Counter()
+    defined = []
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            found = Counter(
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+                and isinstance(n.ctx, ast.Load)
+            )
+            reads += found
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, found[node.name]))
+    return [(module, name) for module, name, own in defined
+            if reads[name] == own and name not in exported]
+
+
+# the one definition shipped for callers outside the package: the reference
+# merge schedule that the tests compare census_phase against and that the
+# benchmark wraps to count census work
+UNREAD_BUT_KEPT = [("dense", "census_merges")]
+
+
+def test_unread_checker_names_the_offending_definition():
+    sources = {
+        "a": (
+            "from b import helper\n"
+            "def used(): return helper()\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Fixture: pass\n"
+            "def public(): pass\n"
+            "TABLE = {'x': used}\n"
+        ),
+        "b": (
+            "def helper(): return 1\n"
+            "def only_imported(): pass\n"
+            "class Base: pass\n"
+            "class Child(Base): pass\n"
+            "def via_attribute(): pass\n"
+            "def reader(mod): return mod.via_attribute\n"
+        ),
+        "c": "from b import only_imported\n",
+    }
+    assert unread_definitions(sources, exported=["public", "Child", "reader"]) == [
+        ("a", "recursive"), ("a", "Fixture"), ("b", "only_imported"),
+    ]
+
+
+def test_package_defines_only_what_it_reads_or_exports():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")
+               if p.name != "__init__.py"}
+    assert unread_definitions(sources, radioleader.__all__) == UNREAD_BUT_KEPT
 
 
 COLLECTOR_POLICY = {"disable", "enable", "freeze", "unfreeze"}

@@ -1,11 +1,10 @@
 import pytest
 
-from radioleader.channel import LISTEN, CdModel
+from radioleader.channel import LISTEN, CdModel, transmit
 from radioleader.lowerbound import (
     RECEIVER_STYLE,
     STRONG_STYLE,
     BudgetExceeded,
-    IdObliviousProgram,
     ViolationPair,
     canonical_sequence,
     canonical_sequences,
@@ -21,9 +20,26 @@ from radioleader.protocols_core import (
     PairingElectionProgram,
     ceil_log2,
 )
-from radioleader.runtime import DeviceProgram, ProtocolConfig, execute
+from radioleader.runtime import DeviceProgram, ProtocolConfig, Verdict, execute
 
 ST = CdModel.STRONG_CD
+
+
+class IdObliviousProgram(DeviceProgram):
+    """Deliberately broken fixture: every device transmits in every one of
+    its 4 slots regardless of id, so no pair of ids can be separated."""
+
+    @classmethod
+    def schedule_length(cls, config) -> int:
+        return 4
+
+    def run(self):
+        for rnd in range(4):
+            yield (rnd, transmit(self.device_id))
+
+    def finish(self) -> Verdict:
+        # claims victory by id alone, never by what happened on the channel
+        return Verdict(is_leader=self.device_id == 1)
 
 
 class IdleProgram(DeviceProgram):

@@ -9,9 +9,10 @@ from radioleader.protocols_core import (
     halving_tradeoff_election,
     pairing_election,
     pairing_level_len,
+    pairing_level_phase,
     pairing_phase_len,
-    pairing_reduce_once,
 )
+from radioleader.runtime import DeviceProgram, ProtocolConfig, run_programs
 
 ST, RC = CdModel.STRONG_CD, CdModel.RECEIVER_CD
 
@@ -57,6 +58,31 @@ def test_reference_pairing_is_min():
 
 
 # --- pairing ----------------------------------------------------------------
+
+
+class PairingReduceProgram(DeviceProgram):
+    """One standalone knockout level; survival is reported, nobody leads."""
+
+    @classmethod
+    def schedule_length(cls, config: ProtocolConfig) -> int:
+        return pairing_level_len(config.N)
+
+    def run(self):
+        self.survived, self.new_id = yield from pairing_level_phase(
+            self.device_id, self.config.N
+        )
+
+
+def pairing_reduce_once(devices, N):
+    """Run one knockout level and return {surviving id: new id} over the
+    halved id space [1..ceil(N/2)], along with the run report.  A slot has
+    one transmitter at most, so the run uses no_cd: no model changes it."""
+    config = ProtocolConfig(model=CdModel.NO_CD, N=N)
+    report, programs = run_programs(PairingReduceProgram, devices, config)
+    survivors = {
+        dev: prog.new_id for dev, prog in programs.items() if prog.survived
+    }
+    return survivors, report
 
 
 def test_pairing_level_lengths():

@@ -44,7 +44,6 @@ from radioleader.protocols_core import (
     binary_search_election,
     halving_tradeoff_election,
     pairing_election,
-    pairing_reduce_once,
 )
 from radioleader.runtime import (
     DeviceProgram,
@@ -54,7 +53,6 @@ from radioleader.runtime import (
     ScheduleOverrun,
     Transcript,
     Verdict,
-    check_easy_success,
     check_strict_success,
     _BATCH,
     _CHUNK,
@@ -72,6 +70,7 @@ from radioleader.tradeoff import (
 )
 
 from test_channel import resolve_by_device
+from test_protocols_core import pairing_reduce_once
 
 NO = CdModel.NO_CD
 
@@ -311,6 +310,18 @@ def test_order_independence_of_device_listing():
     b = execute(prog, [3, 1, 2], cfg(4))
     assert a.transcript_hash == b.transcript_hash
     assert a.verdicts == b.verdicts
+
+
+def check_easy_success(transcript: Transcript) -> bool:
+    """Reference for RunReport.easy_success: some round has exactly one
+    transmitter and at least one listener."""
+    per_round = {}
+    for rnd, _, action, _ in transcript.events:
+        per_round.setdefault(rnd, []).append(action.kind)
+    for kinds in per_round.values():
+        if kinds.count("transmit") == 1 and "listen" in kinds:
+            return True
+    return False
 
 
 def test_success_checkers():

@@ -54,7 +54,6 @@ from .runtime import (
 )
 from .tradeoff import (
     InvalidParams,
-    NoLeader,
     choose_params,
     partition_tradeoff_election,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "EnergyLedger",
     "Feedback",
     "InvalidParams",
-    "NoLeader",
     "Partition",
     "PartitionFamily",
     "ProtocolConfig",

@@ -8,6 +8,11 @@ are formatted with a fixed precision, so identical invocations produce
 byte-identical files.  `--checks` switches to the fixed lower-bound
 checker battery, which needs no `--protocol`, and emits
 `check,protocol,N,k,t,result,witness` rows instead.
+
+Exit codes: 0 on success; 1 only when `--assert-success` finds a run that
+missed strict success (a failed election is a row, not an error); 2 when
+the invocation is refused, by argparse or afterwards by a bad parameter or
+an output that cannot be written, which prints one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .runtime import (
     transcript_hashes,
 )
 from .tradeoff import (
-    NoLeader,
     PartitionTradeoffProgram,
     choose_params,
     partition_tradeoff_election,
@@ -163,11 +167,14 @@ def _parse_density(text: str) -> List[Fraction]:
         piece = piece.strip()
         if not piece:
             continue
-        if "^" in piece:
-            base, _, expo = piece.partition("^")
-            out.append(Fraction(int(base)) ** int(expo))
-        else:
-            out.append(Fraction(piece))
+        try:
+            if "^" in piece:
+                base, _, expo = piece.partition("^")
+                out.append(Fraction(int(base)) ** int(expo))
+            else:
+                out.append(Fraction(piece))
+        except ZeroDivisionError:
+            raise ValueError(f"density {piece} divides by zero") from None
     if not out:
         raise ValueError("empty density list")
     for c in out:
@@ -247,10 +254,7 @@ def _run_one(args, model: CdModel, devices: List[int],
         report = halving_tradeoff_election(devices, N, k, model=model)
         return report, "", str(k)
     if proto == "tradeoff":
-        try:
-            report = partition_tradeoff_election(devices, family, model=model)
-        except NoLeader as exc:
-            report = exc.report
+        report = partition_tradeoff_election(devices, family, model=model)
         return report, str(family.b), str(family.K)
     if proto in DENSE_WALKS:
         b = args.b if args.b is not None else choose_dense_b(N, len(devices))
@@ -446,14 +450,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.protocol is None and not args.checks:
         parser.error("--protocol is required unless --checks is given")
 
-    if args.N < 1:
-        print("--N must be at least 1", file=sys.stderr)
-        return 2
-    if args.epsilon is not None and not (0.0 < args.epsilon < 1.0):
-        print(f"--epsilon {args.epsilon} outside (0, 1)", file=sys.stderr)
-        return 2
+    def sibling(suffix: str) -> Optional[str]:
+        return None if args.out is None else args.out + suffix
 
     try:
+        if args.N < 1:
+            raise ValueError("--N must be at least 1")
         if args.checks:
             rows = run_checks(args)
             _write_table(args.out, CHECK_HEADER, rows)
@@ -462,24 +464,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         rows, aggs, transcripts, attempt_rows = run_experiment(args)
+        _write_table(args.out, CSV_HEADER, rows)
+        _write_table(sibling(".agg.csv"), AGG_HEADER, aggs)
+        if attempt_rows:
+            _write_table(sibling(".attempts.csv"), ATTEMPT_HEADER, attempt_rows)
+        if args.emit_transcripts:
+            os.makedirs(args.emit_transcripts, exist_ok=True)
+            for name, text in transcripts:
+                with open(os.path.join(args.emit_transcripts, name), "w") as fh:
+                    fh.write(text)
+        if args.json_out:
+            _write_json(args.json_out, {"runs": rows, "aggregates": aggs})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    def sibling(suffix: str) -> Optional[str]:
-        return None if args.out is None else args.out + suffix
-
-    _write_table(args.out, CSV_HEADER, rows)
-    _write_table(sibling(".agg.csv"), AGG_HEADER, aggs)
-    if attempt_rows:
-        _write_table(sibling(".attempts.csv"), ATTEMPT_HEADER, attempt_rows)
-    if args.emit_transcripts:
-        os.makedirs(args.emit_transcripts, exist_ok=True)
-        for name, text in transcripts:
-            with open(os.path.join(args.emit_transcripts, name), "w") as fh:
-                fh.write(text)
-    if args.json_out:
-        _write_json(args.json_out, {"runs": rows, "aggregates": aggs})
 
     if args.assert_success:
         bad = sum(1 for r in rows if r["strict"] == "false")

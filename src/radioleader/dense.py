@@ -299,6 +299,8 @@ class _DenseProgram(DeviceProgram):
 
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
+        if config.b is None or config.b < 1:
+            raise ValueError("block width b must be >= 1")
         return cls.phase_len(config.N, config.b) + 1
 
     def run(self):
@@ -319,23 +321,16 @@ class DenseImprovedProgram(_DenseProgram):
     phase_len = staticmethod(dense_improved_phase_len)
 
 
-def _dense_election(program_cls, devices, N, b, model):
-    if b < 1:
-        raise ValueError("block width b must be >= 1")
-    config = ProtocolConfig(model=model, N=N, b=b)
-    return execute(program_cls, devices, config)
-
-
 def dense_simple_election(
     devices, N: int, b: int, model: CdModel = CdModel.NO_CD
 ) -> RunReport:
-    return _dense_election(DenseSimpleProgram, devices, N, b, model)
+    return execute(DenseSimpleProgram, devices, ProtocolConfig(model=model, N=N, b=b))
 
 
 def dense_improved_election(
     devices, N: int, b: int, model: CdModel = CdModel.NO_CD
 ) -> RunReport:
-    return _dense_election(DenseImprovedProgram, devices, N, b, model)
+    return execute(DenseImprovedProgram, devices, ProtocolConfig(model=model, N=N, b=b))
 
 
 def choose_dense_b(N: int, n: int) -> int:

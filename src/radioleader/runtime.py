@@ -360,15 +360,6 @@ class EnergyLedger:
     def max_energy(self) -> int:
         return max(self.counts.values()) if self.counts else 0
 
-    @classmethod
-    def recount(cls, transcript: Transcript) -> "EnergyLedger":
-        """Independent tally straight from the transcript events."""
-        counts = {dev: 0 for dev in transcript.device_ids}
-        for _, dev, action, _ in transcript.events:
-            if action.kind != "idle":
-                counts[dev] += 1
-        return cls(counts=counts)
-
 
 @dataclass
 class RunReport:

@@ -64,15 +64,30 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert agg_a.read_text().splitlines()[0] == AGG_HEADER
 
 
-def test_bad_arguments_exit_2(capsys):
-    assert run_cli(capsys, "--protocol", "pairing", "--N", "0")[0] == 2
-    assert run_cli(capsys, "--protocol", "tradeoff", "--N", "16", "--k", "4",
-                   "--epsilon", "1.5")[0] == 2
+def test_bad_arguments_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "--protocol", "pairing", "--N", "0")
+    assert code == 2 and err == "error: --N must be at least 1\n"
+    code, _, err = run_cli(capsys, "--protocol", "tradeoff", "--N", "16",
+                           "--k", "4", "--epsilon", "1.5")
+    assert code == 2 and err.startswith("error: ")
+    code, _, err = run_cli(capsys, "--protocol", "tradeoff", "--N", "16",
+                           "--n", "2", "--k", "4", "--epsilon", "1.5")
+    assert code == 2
+    assert err == "error: epsilon must lie strictly between 0 and 1\n"
     code, _, err = run_cli(capsys, "--protocol", "pairing", "--N", "21",
                            "--subsets", "all")
     assert code == 2 and "error:" in err
     # random subsets without a size
     assert run_cli(capsys, "--protocol", "pairing", "--N", "8")[0] == 2
+    # an output that cannot be written is refused like any other invocation,
+    # leaving exit 1 to --assert-success
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    unwritable = str(blocker / "out")
+    for option in ("--out", "--json-out", "--emit-transcripts"):
+        code, _, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
+                               "--ids", "1,2", option, unwritable)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_random_subsets_need_a_trial(tmp_path, capsys):
@@ -186,6 +201,12 @@ def test_density_grid(capsys):
     for n, energy in seen.items():
         b = choose_dense_b(N, n)
         assert energy <= 2 * ceil_log2(max(b, 2)) + 9
+    # a density that divides by zero is refused like one that does not parse
+    for density in ("abc", "1/0", "0^-1"):
+        code, out, err = run_cli(capsys, "--protocol", "dense_improved",
+                                 "--N", str(N), "--subsets", "density",
+                                 "--density", density)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_tradeoff_with_family_file(tmp_path, capsys):

@@ -37,6 +37,7 @@ from radioleader.dense import (
     dense_simple_election,
     exponential_search_election,
 )
+from radioleader.lowerbound import canonical_sequence
 from radioleader.partitions import Certificate, Partition, PartitionFamily
 from radioleader.protocols_core import (
     BinarySearchElectionProgram,
@@ -47,7 +48,6 @@ from radioleader.protocols_core import (
 )
 from radioleader.runtime import (
     DeviceProgram,
-    EnergyLedger,
     NonDeterminism,
     ProtocolConfig,
     ScheduleOverrun,
@@ -63,7 +63,6 @@ from radioleader.runtime import (
     transcript_hashes,
 )
 from radioleader.tradeoff import (
-    NoLeader,
     PartitionTradeoffProgram,
     choose_params,
     partition_tradeoff_election,
@@ -275,9 +274,8 @@ def test_ledger_matches_independent_recount():
         length=4,
     )
     report = execute(prog, [1, 2], cfg(4))
-    recount = EnergyLedger.recount(report.transcript)
-    assert recount.counts == report.ledger.counts == {1: 2, 2: 1}
-    assert recount.max_energy == report.ledger.max_energy == 2
+    assert recount(report.transcript) == report.ledger.counts == {1: 2, 2: 1}
+    assert report.ledger.max_energy == 2
 
 
 def test_hash_is_stable_and_input_sensitive():
@@ -310,6 +308,15 @@ def test_order_independence_of_device_listing():
     b = execute(prog, [3, 1, 2], cfg(4))
     assert a.transcript_hash == b.transcript_hash
     assert a.verdicts == b.verdicts
+
+
+def recount(transcript: Transcript) -> dict:
+    """Reference for RunReport.ledger: every event is one unit of energy
+    (the executor records no idle events)."""
+    counts = dict.fromkeys(transcript.device_ids, 0)
+    for _, dev, _, _ in transcript.events:
+        counts[dev] += 1
+    return counts
 
 
 def check_easy_success(transcript: Transcript) -> bool:
@@ -395,6 +402,19 @@ def test_program_class_is_the_whole_declaration(cls):
     order = list(CdModel)
     assert cls.models and all(isinstance(m, CdModel) for m in cls.models)
     assert list(cls.models) == sorted(set(cls.models), key=order.index)
+    if cls is DeviceProgram:
+        return  # the abstract base declares no schedule
+    # without k, b or family, or with b = 0, a run goes through or its
+    # schedule_length refuses it with ValueError; execute and the sequence
+    # checkers both ask for the schedule before any slot
+    for config in (ProtocolConfig(model=cls.models[-1], N=8),
+                   ProtocolConfig(model=cls.models[-1], N=8, b=0)):
+        for run in (partial(execute, cls, [3, 5]),
+                    partial(canonical_sequence, cls, 3)):
+            try:
+                run(config)
+            except ValueError:
+                pass
 
 
 MODEL_DRIVERS = {
@@ -663,10 +683,7 @@ def _golden_runs():
 def _golden_reports():
     """(name, report) for each golden run, a failed election included."""
     for name, run in _golden_runs():
-        try:
-            yield name, run()
-        except NoLeader as exc:
-            yield name, exc.report
+        yield name, run()
 
 
 def test_golden_transcripts():
@@ -915,4 +932,4 @@ def test_executor_shortcuts_match_transcript_checks(run):
     cls, ids, config = run
     report = execute(cls, ids, config)
     assert report.easy_success == check_easy_success(report.transcript)
-    assert report.ledger.counts == EnergyLedger.recount(report.transcript).counts
+    assert report.ledger.counts == recount(report.transcript)

@@ -5,7 +5,6 @@ from .channel import (
     Action,
     CdModel,
     Feedback,
-    SlotOutcome,
     resolve_slot,
 )
 from .dense import (
@@ -74,7 +73,6 @@ __all__ = [
     "ProtocolConfig",
     "RetriesExhausted",
     "RunReport",
-    "SlotOutcome",
     "Transcript",
     "Verdict",
     "ViolationPair",

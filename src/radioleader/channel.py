@@ -18,8 +18,9 @@ devices never learn anything.
 
 `resolve_slot` takes the slot's offers as a list of (device, action) pairs
 and makes one pass over them that counts transmitters and keeps the last
-payload seen.  It returns what every listener hears and what every
-transmitter hears: the module's SILENCE, COLLISION and NO_FEEDBACK, or one
+payload seen.  It returns a plain triple: what every listener hears, what
+every transmitter hears, and the number of transmitters.  The feedbacks
+are the module's SILENCE, COLLISION and NO_FEEDBACK, or one
 `received(payload)` shared by the whole slot.  There is no per-device map
 in or out; a caller hands each device the feedback of its action's kind,
 and an idle device NO_FEEDBACK.  Both are always a Feedback, except for a
@@ -40,15 +41,15 @@ per delivery, use object.__new__ plus the slot descriptors' __set__
 instead: 370-410 ns a call against 590-780 ns through __init__ (timeit,
 Python 3.11, shared 2-vCPU x86-64 VM).  Objects that never vary are
 built once and shared: IDLE, LISTEN, NO_FEEDBACK, SILENCE, COLLISION,
-the protocols' dummy transmission, and the outcome of a slot nobody
-transmits in, which makes such a slot 180-200 ns instead of 520 ns.
+the protocols' dummy transmission, and the triple of a slot nobody
+transmits in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 # Message payloads are decimal integers or tuples of integers; tuples are
 # used for membership lists.  Keeping the domain this small keeps transcript
@@ -141,50 +142,41 @@ def received(payload: Payload) -> Feedback:
     return fb
 
 
-class SlotOutcome(NamedTuple):
-    listener: Optional[Feedback]  # None only when no listener can exist
-    transmitter: Feedback
-    transmitter_count: int
-    delivered: Optional[Payload]
-
-
-_outcome = tuple.__new__  # builds a SlotOutcome without its Python __new__
 _STRONG_CD = CdModel.STRONG_CD
 _SENDER_CD = CdModel.SENDER_CD
 _RECEIVER_CD = CdModel.RECEIVER_CD
-_SILENT = _outcome(SlotOutcome, (SILENCE, NO_FEEDBACK, 0, None))
+_SILENT = (SILENCE, NO_FEEDBACK, 0)
 
 
 def resolve_slot(
     model: CdModel, offers: Sequence[Tuple[int, Action]]
-) -> SlotOutcome:
-    """Resolve one slot: the feedback of its listeners and of its
-    transmitters.
+) -> Tuple[Optional[Feedback], Feedback, int]:
+    """Resolve one slot: (listener feedback, transmitter feedback,
+    transmitter count).
 
     Pure and total: any (device, action) pairs are accepted, and the result
-    depends only on the model and the actions.  `delivered` carries the
-    payload when exactly one device transmitted, else None.
+    depends only on the model and the actions.  The listener feedback is
+    None only when no listener can exist (module docstring).
     """
     c = 0
-    delivered = None
+    payload = None
     for _, action in offers:
         if action.kind == "transmit":
             c += 1
-            delivered = action.payload
+            payload = action.payload
 
     if c == 0:
         return _SILENT
     if c == 1:
         if model is _STRONG_CD or model is _SENDER_CD:
-            fb = received(delivered)
-            return _outcome(SlotOutcome, (fb, fb, 1, delivered))
+            fb = received(payload)
+            return fb, fb, 1
         # a lone transmitter with nobody else in the slot needs no copy
-        fb = received(delivered) if len(offers) > 1 else None
-        return _outcome(SlotOutcome, (fb, NO_FEEDBACK, 1, delivered))
+        return (received(payload) if len(offers) > 1 else None), NO_FEEDBACK, 1
     if model is _STRONG_CD:
-        return _outcome(SlotOutcome, (COLLISION, COLLISION, c, None))
+        return COLLISION, COLLISION, c
     if model is _SENDER_CD:
-        return _outcome(SlotOutcome, (SILENCE, SILENCE, c, None))
+        return SILENCE, SILENCE, c
     if model is _RECEIVER_CD:
-        return _outcome(SlotOutcome, (COLLISION, NO_FEEDBACK, c, None))
-    return _outcome(SlotOutcome, (SILENCE, NO_FEEDBACK, c, None))
+        return COLLISION, NO_FEEDBACK, c
+    return SILENCE, NO_FEEDBACK, c

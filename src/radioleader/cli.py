@@ -12,12 +12,15 @@ checker battery, which needs no `--protocol`, and emits
 Exit codes: 0 on success; 1 only when `--assert-success` finds a run that
 missed strict success (a failed election is a row, not an error); 2 when
 the invocation is refused, by argparse or afterwards by a bad parameter or
-an output that cannot be written, which prints one `error: ...` line.
+an output that cannot be written, which prints one `error: ...` line and
+writes nothing: every output goes to a temporary name next to its path and
+is renamed onto it only once all of them are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -425,23 +428,56 @@ def run_checks(args) -> List[Record]:
     return rows
 
 
-def _write_table(path: Optional[str], header: str,
-                 records: Iterable[Record]) -> None:
-    """Header plus one CSV line per record, to `path` or stdout (None)."""
+def _table(header: str, records: Iterable[Record]) -> str:
+    """Header plus one CSV line per record."""
     columns = header.split(",")
     lines = [header] + [",".join(r[c] for c in columns) for r in records]
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _make_dirs(path: str) -> List[str]:
+    """`os.makedirs(path, exist_ok=True)`; returns the directories it
+    made, deepest first."""
+    made = []
+    d = os.path.abspath(path)
+    while not os.path.exists(d):
+        made.append(d)
+        d = os.path.dirname(d)
+    os.makedirs(path, exist_ok=True)
+    return made
+
+
+def _write_all(files: Sequence[Tuple[str, str]]) -> None:
+    """Write each (path, text), all or nothing: every text goes to a
+    temporary name next to its path, and the temporary files are renamed
+    onto their paths only once all of them are written.  An error names
+    the path, and leaves no temporary file and no path changed."""
+    staged = []
+    try:
+        for i, (path, text) in enumerate(files):
+            if os.path.isdir(path):
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), path)
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            try:
+                with open(tmp, "w") as fh:
+                    staged.append(tmp)
+                    fh.write(text)
+            except OSError as exc:
+                exc.filename = path
+                raise
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -450,34 +486,50 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.protocol is None and not args.checks:
         parser.error("--protocol is required unless --checks is given")
 
+    # every output is built first and written by one _write_all, so a
+    # refused invocation writes nothing, stdout included
+    files: List[Tuple[str, str]] = []
+    printed: List[str] = []
+
+    def table(path: Optional[str], header: str, records) -> None:
+        text = _table(header, records)
+        if path is None:
+            printed.append(text)
+        else:
+            files.append((path, text))
+
     def sibling(suffix: str) -> Optional[str]:
         return None if args.out is None else args.out + suffix
 
+    made: List[str] = []
     try:
         if args.N < 1:
             raise ValueError("--N must be at least 1")
         if args.checks:
             rows = run_checks(args)
-            _write_table(args.out, CHECK_HEADER, rows)
+            table(args.out, CHECK_HEADER, rows)
             if args.json_out:
-                _write_json(args.json_out, rows)
-            return 0
-
-        rows, aggs, transcripts, attempt_rows = run_experiment(args)
-        _write_table(args.out, CSV_HEADER, rows)
-        _write_table(sibling(".agg.csv"), AGG_HEADER, aggs)
-        if attempt_rows:
-            _write_table(sibling(".attempts.csv"), ATTEMPT_HEADER, attempt_rows)
-        if args.emit_transcripts:
-            os.makedirs(args.emit_transcripts, exist_ok=True)
-            for name, text in transcripts:
-                with open(os.path.join(args.emit_transcripts, name), "w") as fh:
-                    fh.write(text)
-        if args.json_out:
-            _write_json(args.json_out, {"runs": rows, "aggregates": aggs})
+                files.append((args.json_out, _json(rows)))
+        else:
+            rows, aggs, transcripts, attempt_rows = run_experiment(args)
+            table(args.out, CSV_HEADER, rows)
+            table(sibling(".agg.csv"), AGG_HEADER, aggs)
+            if attempt_rows:
+                table(sibling(".attempts.csv"), ATTEMPT_HEADER, attempt_rows)
+            if args.emit_transcripts:
+                made = _make_dirs(args.emit_transcripts)
+                files += [(os.path.join(args.emit_transcripts, name), text)
+                          for name, text in transcripts]
+            if args.json_out:
+                files.append((args.json_out,
+                              _json({"runs": rows, "aggregates": aggs})))
+        _write_all(files)
     except (ValueError, OSError) as exc:
+        for d in made:
+            os.rmdir(d)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write("".join(printed))
 
     if args.assert_success:
         bad = sum(1 for r in rows if r["strict"] == "false")

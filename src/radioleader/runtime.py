@@ -21,13 +21,26 @@ scale writing them out would dwarf everything else.
 
 The schedule holds one bucket of offers per occupied round and one heap
 entry per such round, so a slot costs one heap operation however many
-devices share it.  A slot is resolved by one `resolve_slot` call over its
-bucket, sorted into ascending device order (a bucket of one offer needs no
-sort), which returns what the slot's listeners hear and what its
-transmitters hear.  Then, device by device in that order, the executor
-picks the feedback of the device's action kind, records the event, resumes
-the program through its `send` (bound once per run), and checks and
-buckets its next offer right there in the slot loop.  A program's first
+devices share it.  Most slots of a sparse run hold one offer, though, and
+many are the very next slot of the device resumed last, so the slot loop
+holds back the one new offer whose round is earlier than the earliest
+scheduled round and than every other offer of the slot so far; that
+round is kept in a local, so the test costs one int compare per offer.
+An offer for the same round or an earlier one sends the held offer to
+the schedule.  If it is still held when the slot ends, it is the next
+slot and runs at once, with no bucket dict or heap operation.
+
+A slot is resolved by one `resolve_slot` call over its offers, held-back
+ones included, sorted into ascending device order by a plain
+`list.sort()` (a bucket of one offer needs no sort): a device has at most
+one outstanding offer, so the sort never compares two actions.
+`resolve_slot` returns what the slot's listeners hear, what its
+transmitters hear and how many transmitted.  Then, device by device in
+that order, the executor picks the feedback of the device's action kind,
+records the event, resumes the program through its `send` (bound once
+per run), and checks and schedules its next offer right there in the
+slot loop.  An offer must be a plain `tuple` of an `int` round and an
+`Action` (exact types, so a bool round is refused).  A program's first
 offer takes the same path: the run opens with a round -1 in which every
 device is resumed with None.  Every offer listens or transmits, so a slot
 shows easy success exactly when it has one transmitter and more than one
@@ -199,7 +212,6 @@ class DeviceProgram:
 
 Event = Tuple[int, int, Action, Feedback]
 
-_device = itemgetter(0)  # sort key of a slot's (device, action) offers
 _event_device = itemgetter(1)
 
 
@@ -443,6 +455,7 @@ def run_programs(
             f"{factory.__name__} is defined for {allowed}, not {config.model.value}"
         )
 
+    model = config.model
     total_rounds = factory.schedule_length(config)
     slots: Dict[int, List[Tuple[int, Action]]] = {}
     rounds: List[int] = []
@@ -458,6 +471,11 @@ def run_programs(
         listener = transmitter = None
         record = events.append
         while True:
+            # the held-back offer, if any, is for round `first`, and no
+            # other offer is; otherwise `first` is the earliest scheduled
+            # round (module docstring)
+            held = None
+            first = rounds[0] if rounds else total_rounds
             for dev, action in bucket:
                 if action is None:
                     fb = None
@@ -469,10 +487,10 @@ def run_programs(
                 except StopIteration:
                     continue
                 if (
-                    not isinstance(item, tuple)
+                    type(item) is not tuple
                     or len(item) != 2
-                    or not isinstance(item[0], int)
-                    or not isinstance(item[1], Action)
+                    or type(item[0]) is not int
+                    or type(item[1]) is not Action
                 ):
                     raise ScheduleOverrun(
                         f"device {dev} yielded malformed slot {item!r}"
@@ -488,19 +506,34 @@ def run_programs(
                         f"device {dev} requested round {nxt} outside its "
                         f"schedule (previous {rnd}, length {total_rounds})"
                     )
+                if nxt < first:
+                    if held is not None:
+                        slots[first] = [held]
+                        heappush(rounds, first)
+                    held = (dev, offer)
+                    first = nxt
+                    continue
+                if nxt == first and held is not None:
+                    slots[first] = [held]
+                    heappush(rounds, first)
+                    held = None
                 offers = slots.get(nxt)
                 if offers is None:
                     slots[nxt] = [(dev, offer)]
                     heappush(rounds, nxt)
                 else:
                     offers.append((dev, offer))
-            if not rounds:
+            if held is not None:
+                rnd = first
+                bucket = [held]
+            elif rounds:
+                rnd = heappop(rounds)
+                bucket = slots.pop(rnd)
+                if len(bucket) > 1:
+                    bucket.sort()
+            else:
                 break
-            rnd = heappop(rounds)
-            bucket = slots.pop(rnd)
-            if len(bucket) > 1:
-                bucket.sort(key=_device)
-            listener, transmitter, c, _ = resolve_slot(config.model, bucket)
+            listener, transmitter, c = resolve_slot(model, bucket)
             # every offer listens or transmits, so a lone transmitter among
             # several offers always has a listener
             if c == 1 and len(bucket) > 1:

@@ -22,32 +22,31 @@ S, X, R, N = CdModel.STRONG_CD, CdModel.SENDER_CD, CdModel.RECEIVER_CD, CdModel.
 
 def resolve_by_device(model, actions):
     """Resolve a slot given as {device: action} and hand each device the
-    outcome's feedback for its action's kind (an idle device NO_FEEDBACK).
-    Returns (per-device feedback, outcome)."""
-    out = resolve_slot(model, sorted(actions.items()))
-    by_kind = {"listen": out.listener, "transmit": out.transmitter}
+    feedback for its action's kind (an idle device NO_FEEDBACK).
+    Returns (per-device feedback, transmitter count)."""
+    listener, transmitter, c = resolve_slot(model, sorted(actions.items()))
+    by_kind = {"listen": listener, "transmit": transmitter}
     feedback = {d: by_kind.get(a.kind, NO_FEEDBACK) for d, a in actions.items()}
-    return feedback, out
+    return feedback, c
 
 
 def test_lone_listener_hears_silence():
-    feedback, out = resolve_by_device(S, {7: LISTEN})
+    feedback, c = resolve_by_device(S, {7: LISTEN})
     assert feedback[7] == SILENCE
-    assert out.transmitter_count == 0
-    assert out.delivered is None
+    assert c == 0
 
 
 def test_sender_cd_collision_is_silence_everywhere():
-    feedback, out = resolve_by_device(X, {1: transmit(10), 2: transmit(20), 3: LISTEN})
+    feedback, c = resolve_by_device(X, {1: transmit(10), 2: transmit(20), 3: LISTEN})
     assert feedback == {1: SILENCE, 2: SILENCE, 3: SILENCE}
-    assert out.delivered is None
+    assert c == 2
 
 
 def test_no_cd_unique_delivery():
-    feedback, out = resolve_by_device(N, {1: transmit(42), 2: LISTEN})
+    feedback, c = resolve_by_device(N, {1: transmit(42), 2: LISTEN})
     assert feedback[1] == NO_FEEDBACK
     assert feedback[2] == received(42)
-    assert out.delivered == 42
+    assert c == 1
 
 
 def test_strong_cd_transmitters_detect_collision():
@@ -67,12 +66,12 @@ def test_delivered_iff_exactly_one_transmitter(c):
     actions = {i: transmit(100 + i) for i in range(1, c + 1)}
     actions[90] = LISTEN
     for model in CdModel:
-        _, out = resolve_by_device(model, actions)
-        assert out.transmitter_count == c
+        feedback, count = resolve_by_device(model, actions)
+        assert count == c
         if c == 1:
-            assert out.delivered == 101
+            assert feedback[90].payload == 101
         else:
-            assert out.delivered is None
+            assert feedback[90].kind != "received"
 
 
 def _coarsen(model, role, strong_fb):
@@ -141,14 +140,14 @@ def test_resolve_slot_total_and_deterministic(kinds, model):
         d: transmit(d) if k == "transmit" else (LISTEN if k == "listen" else IDLE)
         for d, k in kinds.items()
     }
-    feedback, a = resolve_by_device(model, actions)
-    _, b = resolve_by_device(model, actions)
-    assert a == b
+    feedback, c = resolve_by_device(model, actions)
+    assert resolve_by_device(model, actions) == (feedback, c)
     assert set(feedback) == set(actions)
     # all listeners see the same thing
     listener_fb = {feedback[d] for d, act in actions.items() if act.kind == "listen"}
     assert len(listener_fb) <= 1
-    assert (a.delivered is not None) == (a.transmitter_count == 1)
+    # a listener hears a payload iff exactly one device transmitted
+    assert all((fb.kind == "received") == (c == 1) for fb in listener_fb)
 
 
 def reference_resolve_slot(model, actions):
@@ -182,7 +181,7 @@ def reference_resolve_slot(model, actions):
             feedback[dev] = sender_fb
         else:
             feedback[dev] = NO_FEEDBACK
-    return feedback, c, delivered
+    return feedback, c
 
 
 _payload = st.one_of(
@@ -201,34 +200,24 @@ _any_action = st.one_of(
     model=st.sampled_from(list(CdModel)),
 )
 def test_resolve_slot_matches_reference(actions, model):
-    got_feedback, out = resolve_by_device(model, actions)
-    feedback, c, delivered = reference_resolve_slot(model, actions)
+    got_feedback, got_c = resolve_by_device(model, actions)
+    feedback, c = reference_resolve_slot(model, actions)
     assert list(got_feedback) == list(feedback)
     for dev, fb in feedback.items():
         got = got_feedback[dev]
         assert (got.kind, got.payload) == (fb.kind, fb.payload), (model, dev)
-    assert out.transmitter_count == c
-    assert out.delivered == delivered
+    assert got_c == c
 
 
 def test_lone_transmitter_alone_gets_no_listener_copy():
     # nobody can hear it, so only the sender-side models build a copy
     for model in CdModel:
-        out = resolve_slot(model, [(4, transmit(9))])
-        assert (out.transmitter_count, out.delivered) == (1, 9)
+        listener, transmitter, c = resolve_slot(model, [(4, transmit(9))])
+        assert c == 1
         if model.sender_side:
-            assert out.listener == out.transmitter == received(9)
+            assert listener == transmitter == received(9)
         else:
-            assert (out.listener, out.transmitter) == (None, NO_FEEDBACK)
-
-
-def test_slot_outcome_repr():
-    out = resolve_slot(N, [(1, LISTEN)])
-    assert repr(out) == (
-        "SlotOutcome(listener=Feedback(kind='silence', payload=None), "
-        "transmitter=Feedback(kind='none', payload=None), "
-        "transmitter_count=0, delivered=None)"
-    )
+            assert (listener, transmitter) == (None, NO_FEEDBACK)
 
 
 PAYLOADS = st.one_of(st.integers(0, 1 << 40),
@@ -252,4 +241,4 @@ def test_fast_built_slot_objects_match_dataclass_built(payload):
 def test_silent_slots_share_one_outcome():
     quiet = resolve_slot(S, [(1, LISTEN)])
     assert resolve_slot(N, [(2, LISTEN), (3, LISTEN)]) is quiet
-    assert quiet == (SILENCE, NO_FEEDBACK, 0, None)
+    assert quiet == (SILENCE, NO_FEEDBACK, 0)

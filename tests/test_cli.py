@@ -90,6 +90,35 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_refused_invocation_writes_nothing(tmp_path, capsys):
+    # the JSON path lies under a regular file, so the invocation is refused
+    # after the runs: no table, transcript or directory may be written, no
+    # existing output truncated, and no table printed
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = blocker / "x.json"
+    agg = tmp_path / "runs.csv.agg.csv"
+    agg.write_text("old\n")
+    argv = ["--protocol", "pairing", "--N", "4", "--ids", "1,2",
+            "--json-out", str(bad)]
+    for extra in (["--out", str(tmp_path / "runs.csv"),
+                   "--emit-transcripts", str(tmp_path / "t" / "runs")], []):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 20] Not a directory: '{bad}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "file", "runs.csv.agg.csv"]
+        assert agg.read_text() == "old\n"
+    # a directory in place of a table is refused before anything is written
+    code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
+                             "--ids", "1,2", "--out", str(tmp_path / "runs.csv"),
+                             "--json-out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert agg.read_text() == "old\n"
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_random_subsets_need_a_trial(tmp_path, capsys):
     # refused with the other --n checks, not by max() over no sets
     for trials in ("0", "-3"):

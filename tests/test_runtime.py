@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import radioleader
 from radioleader import cli, runtime
@@ -133,6 +133,7 @@ BAD_OFFERS = {
     "non-int round": (lambda prev: (prev + 1.0, LISTEN), "yielded malformed slot"),
     "non-Action": (lambda prev: (prev + 1, "listen"), "yielded malformed slot"),
     "None": (lambda prev: None, "yielded malformed slot None"),
+    "bool round": (lambda prev: (True, LISTEN), "yielded malformed slot"),
     "idle": (lambda prev: (prev + 1, IDLE), "yielded action kind 'idle'"),
     "typo": (lambda prev: (prev + 1, Action("tranmsit", 3)),
              "yielded action kind 'tranmsit'"),
@@ -587,9 +588,9 @@ def reference_schedule(factory, ids, config):
         batch = {dev: o[1] for dev, o in offers.items() if o and o[0] == rnd}
         if not batch:
             continue
-        feedback, outcome = resolve_by_device(config.model, batch)
+        feedback, c = resolve_by_device(config.model, batch)
         kinds = [a.kind for a in batch.values()]
-        easy |= outcome.transmitter_count == 1 and "listen" in kinds
+        easy |= c == 1 and "listen" in kinds
         for dev, action in batch.items():
             events.append((rnd, dev, action, feedback[dev]))
             counts[dev] += 1
@@ -611,6 +612,21 @@ scripts = st.dictionaries(
 
 @settings(max_examples=200, deadline=None)
 @given(plan=scripts, model=st.sampled_from(list(CdModel)))
+# device 1's held offer for round 5 is displaced by device 2's for round 3
+@example(plan={1: {0: "transmit", 5: "listen"}, 2: {0: "listen", 3: "transmit"},
+               3: {8: "listen"}}, model=CdModel.STRONG_CD)
+# device 1's held offer for round 2 is joined by device 2's: easy success
+@example(plan={1: {0: "listen", 2: "listen"}, 2: {0: "listen", 2: "transmit"}},
+         model=CdModel.NO_CD)
+# device 2's offer for round 4 falls between device 1's held round 1 and
+# the earliest scheduled round 9
+@example(plan={1: {0: "listen", 1: "transmit", 2: "listen"},
+               2: {0: "listen", 4: "transmit"}, 3: {9: "listen"}},
+         model=CdModel.RECEIVER_CD)
+# device 1 runs rounds 0-3 as lone slots, then meets device 2 in round 7
+@example(plan={1: {0: "transmit", 1: "transmit", 2: "listen", 3: "listen",
+                   7: "listen"}, 2: {7: "transmit"}},
+         model=CdModel.SENDER_CD)
 def test_scheduler_matches_reference_order(plan, model):
     # scripted devices skip rounds and share rounds; the event-driven
     # scheduler must resolve and record them as the round-by-round loop does

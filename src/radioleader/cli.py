@@ -12,19 +12,24 @@ checker battery, which needs no `--protocol`, and emits
 Exit codes: 0 on success; 1 only when `--assert-success` finds a run that
 missed strict success (a failed election is a row, not an error); 2 when
 the invocation is refused, by argparse or afterwards by a bad parameter or
-an output that cannot be written, which prints one `error: ...` line and
-writes nothing: every output goes to a temporary name next to its path and
-is renamed onto it only once all of them are written.
+an output that cannot be opened or written, which prints one `error: ...`
+line and writes nothing: a new or plain output file is written to a
+temporary name next to its path, any other output (a symlink, a device)
+is opened without truncating it, and only once all of that succeeded are
+the temporary files renamed onto their paths and the others written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
 import os
 import random
+import shutil
+import stat
 import sys
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -451,33 +456,86 @@ def _make_dirs(path: str) -> List[str]:
     return made
 
 
+def _staged(path: str) -> bool:
+    """Whether `path` gets its text by renaming a temporary file onto it,
+    which it may when renaming changes nothing but its bytes: when it
+    does not exist yet, or is a plain file with one link that this user
+    owns and may write, of the group a new file next to it would get, in
+    a directory this user may write.  Any other path (a symlink, a device
+    such as /dev/null, a file of someone else's) is written through, so
+    its directory entry, owner and mode stay as they are."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return True
+    head = os.path.dirname(path) or "."
+    dir_st = os.stat(head)
+    group = (dir_st.st_gid if dir_st.st_mode & stat.S_ISGID
+             else os.getegid())
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and st.st_uid == os.geteuid() and st.st_gid == group
+            and os.access(path, os.W_OK)
+            and os.access(head, os.W_OK | os.X_OK))
+
+
 def _write_all(files: Sequence[Tuple[str, str]]) -> None:
-    """Write each (path, text), all or nothing: every text goes to a
-    temporary name next to its path, and the temporary files are renamed
-    onto their paths only once all of them are written.  An error names
-    the path, and leaves no temporary file and no path changed."""
-    staged = []
+    """Write each (path, text), all or nothing as far as opening and
+    writing go.  Each text for a `_staged` path is written to a temporary
+    name next to it, and every other path is opened without truncating
+    it; only once all of that succeeded are the temporary files renamed
+    onto their paths and the other paths truncated and written.  An error
+    names the path.  One raised before that point leaves no temporary
+    file and no path changed; a rename or a write-through that fails
+    after it can leave the paths handled before it changed."""
+    staged: List[Tuple[str, str]] = []
+    through = []
     try:
         for i, (path, text) in enumerate(files):
-            if os.path.isdir(path):
-                raise IsADirectoryError(
-                    errno.EISDIR, os.strerror(errno.EISDIR), path)
-            head, tail = os.path.split(path)
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
             try:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(
+                        errno.EISDIR, os.strerror(errno.EISDIR), path)
+                if not _staged(path):
+                    # O_CREAT only matters for a dangling symlink, whose
+                    # target is removed again if a later path fails
+                    created = not os.path.exists(path)
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                    through.append((os.fdopen(fd, "w"), path, text, created))
+                    continue
+                head, tail = os.path.split(path)
+                tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
                 with open(tmp, "w") as fh:
-                    staged.append(tmp)
+                    staged.append((tmp, path))
                     fh.write(text)
+                if os.path.exists(path):
+                    shutil.copymode(path, tmp)
             except OSError as exc:
                 exc.filename = path
                 raise
-        for tmp, (path, _) in zip(staged, files):
+        for tmp, path in staged:
             os.replace(tmp, path)
+        for fh, path, text, _ in through:
+            try:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(text)
+                fh.flush()
+            except OSError as exc:
+                exc.filename = path
+                raise
     except BaseException:
-        for tmp in staged:
+        for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        for _, path, _, created in through:
+            if created:
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.realpath(path))
         raise
+    finally:
+        for fh, *_ in through:
+            with contextlib.suppress(OSError):
+                fh.close()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -526,7 +584,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write_all(files)
     except (ValueError, OSError) as exc:
         for d in made:
-            os.rmdir(d)
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write("".join(printed))

@@ -119,6 +119,52 @@ def test_a_refused_invocation_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "runs.csv").exists()
 
 
+def test_outputs_keep_their_links_and_modes(tmp_path, capsys):
+    # a symlink, a hard-linked file and a dangling symlink are written
+    # through, and a plain file is replaced but keeps its mode, so every
+    # output ends with the bytes of a plain run in the same place
+    argv = ["--protocol", "pairing", "--N", "4", "--ids", "1,2"]
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert main(argv + ["--out", str(plain / "runs.csv"),
+                        "--json-out", str(plain / "runs.json")]) == 0
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "runs.csv"
+    link.symlink_to(real)
+    agg = tmp_path / "runs.csv.agg.csv"
+    agg.write_text("old\n")
+    agg.chmod(0o640)
+    twin = tmp_path / "twin.json"
+    twin.write_text("old\n")
+    (tmp_path / "runs.json").hardlink_to(twin)
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "made.json")
+    for json_out in ("runs.json", "dangling.json"):
+        code, out, err = run_cli(capsys, *argv, "--out", str(link),
+                                 "--json-out", str(tmp_path / json_out))
+        assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and dangling.is_symlink()
+    assert real.read_bytes() == (plain / "runs.csv").read_bytes()
+    assert agg.read_bytes() == (plain / "runs.csv.agg.csv").read_bytes()
+    assert agg.stat().st_mode & 0o777 == 0o640
+    expected = (plain / "runs.json").read_bytes()
+    assert twin.read_bytes() == expected
+    assert (tmp_path / "made.json").read_bytes() == expected
+    # a refused invocation truncates no link's target, and creates none
+    bad = real / "x.json"
+    real.write_text("old\n")
+    gone = tmp_path / "gone.csv"
+    gone.symlink_to(tmp_path / "made.csv")
+    for out_path in (link, gone):
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path),
+                                 "--json-out", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 20] Not a directory: '{bad}'\n"
+    assert real.read_text() == "old\n"
+    assert not (tmp_path / "made.csv").exists()
+
+
 def test_random_subsets_need_a_trial(tmp_path, capsys):
     # refused with the other --n checks, not by max() over no sets
     for trials in ("0", "-3"):

@@ -88,18 +88,29 @@ PROGRAMS = {
 # the protocols that take a block width (--b)
 DENSE_WALKS = ("dense_simple", "dense_improved")
 
-# run option -> (what it is, the protocols that read it); of these,
-# --checks reads only --k
-OPTION_READERS = {
+SUBSET_KINDS = ("all", "random", "file", "density")
+
+# option -> (what it is, what reads it, what needs it), of protocol names,
+# subset kinds ("ids" when --ids is given) and "checks"; --N, --seed, --out,
+# --json-out, --protocol and --checks are always read
+OPTIONS = {
     "b": ("the block width of the dense walks (dense_simple, dense_improved)",
-          DENSE_WALKS),
+          DENSE_WALKS, ()),
     "k": ("the energy budget knob of halving and tradeoff",
-          ("halving", "tradeoff")),
-    "epsilon": ("the slack exponent of tradeoff", ("tradeoff",)),
-    "family": ("the partition family file of tradeoff", ("tradeoff",)),
-    "model": ("the collision-detection model of the runs", PROGRAMS),
-    "assert-success": ("the strict-success gate of the runs", PROGRAMS),
-    "emit-transcripts": ("the transcript directory of the runs", PROGRAMS),
+          ("halving", "tradeoff", "checks"), ("tradeoff",)),
+    "epsilon": ("the slack exponent of tradeoff", ("tradeoff",), ("tradeoff",)),
+    "family": ("the partition family file of tradeoff", ("tradeoff",), ()),
+    "model": ("the collision-detection model of the runs", PROGRAMS, ()),
+    "assert-success": ("the strict-success gate of the runs", PROGRAMS, ()),
+    "emit-transcripts": ("the transcript directory of the runs", PROGRAMS, ()),
+    "ids": ("the one explicit device set", ("ids",), ()),
+    "subsets": ("the kind of device sets", SUBSET_KINDS, ()),
+    "n": ("the set size of --subsets random and the known bound of tradeoff",
+          ("random", "tradeoff"), ("random",)),
+    "trials": ("the set count of --subsets random", ("random",), ()),
+    "density": ("the density list of --subsets density", ("density",),
+                ("density",)),
+    "subsets-file": ("the set file of --subsets file", ("file",), ("file",)),
 }
 
 CSV_HEADER = (
@@ -143,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=None,
                    help="block width of the dense walks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subsets", choices=("all", "random", "file", "density"),
-                   default="random")
+    p.add_argument("--subsets", choices=SUBSET_KINDS, default=None,
+                   help="the device sets to run (default random)")
     p.add_argument("--subsets-file", default=None,
                    help="one subset per line, ids separated by spaces or commas")
     p.add_argument("--ids", default=None,
@@ -152,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", default=None,
                    help="comma list of fractions for --subsets density, "
                         "e.g. 1,1/2,1/4 or 2^-3")
-    p.add_argument("--trials", type=int, default=20,
-                   help="subset count for --subsets random")
+    p.add_argument("--trials", type=int, default=None,
+                   help="subset count for --subsets random (default 20)")
     p.add_argument("--assert-success", action="store_true",
                    help="exit nonzero if any run misses strict success")
     p.add_argument("--emit-transcripts", metavar="DIR", default=None)
@@ -211,33 +222,48 @@ def _read_subsets_file(path: str) -> List[List[int]]:
     return subsets
 
 
+def _subset_kind(args) -> str:
+    return "ids" if args.ids is not None else args.subsets or "random"
+
+
+def _refuse_options(args) -> None:
+    """Raise ValueError naming the first option of OPTIONS that is given but
+    read by nothing of this invocation, or missing but needed by some of it."""
+    kind = _subset_kind(args)
+    used = {"checks"} if args.checks else {args.protocol, kind}
+    run = f"{args.protocol} with " + (
+        "--ids" if kind == "ids" else f"--subsets {kind}")
+    for option, (what, readers, needers) in OPTIONS.items():
+        value = getattr(args, option.replace("-", "_"))
+        if value is None or value is False:
+            if not used.isdisjoint(needers):
+                raise ValueError(f"--{option} is {what}, needed by {run}")
+        elif used.isdisjoint(readers):
+            raise ValueError(f"--{option} is {what}" + (
+                "; --checks reads only --N and --k" if args.checks
+                else f", not of {run}"))
+
+
 def generate_subsets(args) -> List[List[int]]:
-    N = args.N
-    if args.ids is not None:
+    N, kind = args.N, _subset_kind(args)
+    if kind == "ids":
         return [_parse_ids(args.ids)]
-    if args.subsets == "all":
+    if kind == "all":
         if N > 20:
             raise ValueError("--subsets all refuses N > 20 (2^N executions)")
-        return [
-            [i + 1 for i in range(N) if mask >> i & 1]
-            for mask in range(1, 1 << N)
-        ]
-    if args.subsets == "file":
-        if not args.subsets_file:
-            raise ValueError("--subsets file needs --subsets-file")
+        return [[i + 1 for i in range(N) if mask >> i & 1]
+                for mask in range(1, 1 << N)]
+    if kind == "file":
         return _read_subsets_file(args.subsets_file)
-    if args.subsets == "density":
-        if not args.density:
-            raise ValueError("--subsets density needs --density")
+    if kind == "density":
         sizes = [max(1, round(c * N)) for c in _parse_density(args.density)]
     else:  # random
-        if args.n is None:
-            raise ValueError("--subsets random needs --n (subset size)")
         if not (1 <= args.n <= N):
             raise ValueError("need 1 <= n <= N")
-        if args.trials < 1:
+        trials = 20 if args.trials is None else args.trials
+        if trials < 1:
             raise ValueError("--subsets random needs --trials >= 1")
-        sizes = [args.n] * args.trials
+        sizes = [args.n] * trials
     rng = random.Random(args.seed)
     return [sorted(rng.sample(range(1, N + 1), n)) for n in sizes]
 
@@ -269,34 +295,7 @@ def _run_one(args, model: CdModel, devices: List[int],
         run = (dense_simple_election if proto == "dense_simple"
                else dense_improved_election)
         return run(devices, N, b, model=model), str(b), ""
-    if proto == "exponential":
-        return exponential_search_election(devices, N, model=model), "", ""
-    raise ValueError(f"unhandled protocol {proto}")
-
-
-def _tradeoff_params(args, subsets: Sequence[Sequence[int]]):
-    """The partition family of a trade-off experiment."""
-    if args.epsilon is None or args.k is None:
-        raise ValueError("--protocol tradeoff needs --k and --epsilon")
-    n = args.n if args.n is not None else max(len(s) for s in subsets)
-    family = load_family(args.family) if args.family else None
-    return choose_params(args.N, n, args.k, args.epsilon,
-                         seed=args.seed, family=family)
-
-
-def _refuse_unread_options(args) -> None:
-    """Raise ValueError naming the first run option that was given but
-    that the chosen protocol, or --checks, never reads."""
-    for option, (what, readers) in OPTION_READERS.items():
-        value = getattr(args, option.replace("-", "_"))
-        if value is None or value is False:
-            continue
-        if args.checks:
-            if option != "k":
-                raise ValueError(f"--{option} is {what}; --checks reads "
-                                 "only --N and --k")
-        elif args.protocol not in readers:
-            raise ValueError(f"--{option} is {what}, not of {args.protocol}")
+    return exponential_search_election(devices, N, model=model), "", ""
 
 
 def run_experiment(args):
@@ -306,16 +305,17 @@ def run_experiment(args):
     attempt records); all four deterministic functions of the arguments.
     Transcripts are serialized only for --emit-transcripts."""
     model = _model_for(args)
-    _refuse_unread_options(args)
-    dense = args.protocol in DENSE_WALKS
     subsets = generate_subsets(args)
-    if dense and args.b is None:
+    if args.protocol in DENSE_WALKS and args.b is None:
         for devices in subsets:
             if len(devices) < 2:
                 raise ValueError(f"device set {devices}: without --b the "
                                  f"{args.protocol} walk needs n >= 2 devices")
-    family = _tradeoff_params(args, subsets) if args.protocol == "tradeoff" \
-        else None
+    family = load_family(args.family) if args.family else None
+    if args.protocol == "tradeoff":
+        n = args.n if args.n is not None else max(map(len, subsets))
+        family = choose_params(args.N, n, args.k, args.epsilon,
+                               seed=args.seed, family=family)
 
     # every report stays alive until the bulk hash, and they form no
     # cycles, so one pause spares the collector re-walking them all; its
@@ -391,7 +391,6 @@ def _checker_factories(args):
 
 
 def run_checks(args) -> List[Record]:
-    _refuse_unread_options(args)
     if args.N > 1 << 14:
         # pairing alone holds N canonical sequences of about N slots each
         raise ValueError("--checks refuses N > 2^14 (N^2 memory)")
@@ -563,6 +562,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.N < 1:
             raise ValueError("--N must be at least 1")
+        _refuse_options(args)
+        if args.out and os.path.exists(args.out) and not os.path.isfile(args.out):
+            raise ValueError(f"--out names the other tables too, so it must be "
+                             f"a regular file or a new path, not {args.out}")
         if args.checks:
             rows = run_checks(args)
             table(args.out, CHECK_HEADER, rows)

@@ -77,8 +77,15 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--protocol", "pairing", "--N", "21",
                            "--subsets", "all")
     assert code == 2 and "error:" in err
-    # random subsets without a size
+    # random subsets without a size, or with one outside 1..N
     assert run_cli(capsys, "--protocol", "pairing", "--N", "8")[0] == 2
+    for n in ("0", "9"):
+        code, _, err = run_cli(capsys, "--protocol", "pairing", "--N", "8",
+                               "--n", n)
+        assert code == 2 and err == "error: need 1 <= n <= N\n"
+    code, _, err = run_cli(capsys, "--protocol", "pairing", "--N", "8",
+                           "--ids", ",")
+    assert code == 2 and err == "error: empty id list\n"
     # an output that cannot be written is refused like any other invocation,
     # leaving exit 1 to --assert-success
     blocker = tmp_path / "file"
@@ -255,6 +262,10 @@ def test_subsets_file(tmp_path, capsys):
     rows, _ = body_rows(out)
     assert len(rows) == 2
     assert sorted(r.split(",")[3] for r in rows) == ["2", "3"]
+    listing.write_text("# comment\n\n# another\n")
+    code, out, err = run_cli(capsys, "--protocol", "halving", "--N", "16",
+                             "--subsets", "file", "--subsets-file", str(listing))
+    assert (code, out) == (2, "") and err == f"error: no subsets in {listing}\n"
 
 
 def test_density_grid(capsys):
@@ -276,8 +287,9 @@ def test_density_grid(capsys):
     for n, energy in seen.items():
         b = choose_dense_b(N, n)
         assert energy <= 2 * ceil_log2(max(b, 2)) + 9
-    # a density that divides by zero is refused like one that does not parse
-    for density in ("abc", "1/0", "0^-1"):
+    # a density that divides by zero is refused like one that does not
+    # parse, lies outside (0, 1] or is missing from the list
+    for density in ("abc", "1/0", "0^-1", "0", "3/2", "2^1", "", " , "):
         code, out, err = run_cli(capsys, "--protocol", "dense_improved",
                                  "--N", str(N), "--subsets", "density",
                                  "--density", density)
@@ -457,6 +469,36 @@ def test_b_is_refused_outside_the_dense_walks(capsys, monkeypatch):
         assert "error: --b is the block width of the dense walks" in err
 
 
+def test_out_must_be_a_regular_file_or_a_new_path(tmp_path, capsys,
+                                                   monkeypatch):
+    # the other tables are named by appending to --out, so a device behind
+    # it would get a new regular file next to it
+    def run_one(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    null = tmp_path / "null.csv"
+    null.symlink_to("/dev/null")
+    for out_path in (null, tmp_path):
+        code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
+                                 "--ids", "1,2", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == ("error: --out names the other tables too, so it must "
+                       f"be a regular file or a new path, not {out_path}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["null.csv"]
+
+
+# every option of the parser that OPTIONS leaves out
+ALWAYS_READ = {"N", "seed", "out", "json_out", "protocol", "checks"}
+
+
+def test_every_option_is_in_the_table_or_always_read():
+    declared = {action.dest for action in build_parser()._actions} - {"help"}
+    tabled = {option.replace("-", "_") for option in cli.OPTIONS}
+    assert declared == tabled | ALWAYS_READ
+    assert not tabled & ALWAYS_READ
+
+
 COUNTED = (
     "pairing_election", "binary_search_election", "halving_tradeoff_election",
     "partition_tradeoff_election", "dense_simple_election",
@@ -598,3 +640,86 @@ def test_sweep_restores_the_collector_state(monkeypatch, fail_at, enabled):
         gc.enable()
     assert states and not any(states)
     assert len(states) == (fail_at or 2**8 - 1)
+
+
+
+def test_subset_options_that_nothing_reads_are_refused(tmp_path, capsys,
+                                                      monkeypatch):
+    def run_one(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    monkeypatch.setattr(cli, "canonical_sequences", run_one)
+    out = str(tmp_path / "runs.csv")
+    for refused, argv in (
+            ("n", "--protocol pairing --ids 1,2 --trials 7 --n 3 --density 1/2"),
+            ("trials", "--protocol pairing --subsets all --trials 5"),
+            ("subsets", "--checks --n 3 --trials 2 --subsets all"),
+            ("density", "--protocol pairing --n 2 --density 1/2 "
+                        "--subsets-file /nonexistent")):
+        code, stdout, err = run_cli(capsys, "--N", "8", *argv.split(),
+                                    "--out", out)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith(f"error: --{refused} is "), argv
+        assert err.count("\n") == 1, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_table_decides_every_refusal(tmp_path, capsys, monkeypatch):
+    # every option with every protocol and subset kind, and with --checks:
+    # refused with exit 2 before any driver exactly when nothing of the
+    # invocation reads it, and otherwise run up to the first driver
+    class Reached(Exception):
+        pass
+
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        raise Reached
+
+    for name in COUNTED:
+        monkeypatch.setattr(cli, name, count)
+    listing = tmp_path / "subsets.txt"
+    listing.write_text("1 2\n")
+    values = {"b": "4", "k": "3", "epsilon": "0.5", "family": "f",
+              "model": "strong_cd", "assert-success": None,
+              "emit-transcripts": str(tmp_path / "t"), "ids": "1,2",
+              "subsets": "random", "n": "2", "trials": "1",
+              "density": "1/2", "subsets-file": str(listing)}
+    assert set(values) == set(cli.OPTIONS)
+    selecting = {"all": {"subsets": "all"}, "random": {},
+                 "file": {"subsets": "file"},
+                 "density": {"subsets": "density"}, "ids": {"ids": "1,2"}}
+    invocations = [({"checks"}, {"checks": None},
+                    "; --checks reads only --N and --k\n")]
+    for proto in PROGRAMS:
+        # a dense walk without --b refuses the singletons of --subsets all
+        width = {"b": "4"} if proto in cli.DENSE_WALKS else {}
+        invocations += [
+            ({proto, kind}, {"protocol": proto, **width, **chosen},
+             f", not of {proto} with --"
+             + ("ids" if kind == "ids" else f"subsets {kind}") + "\n")
+            for kind, chosen in selecting.items()]
+    for used, fixed, unread in invocations:
+        needed = {option: values[option]
+                  for option, (_, _, needers) in cli.OPTIONS.items()
+                  if not used.isdisjoint(needers)}
+        for option, (_, readers, _) in cli.OPTIONS.items():
+            if option == "ids" and used.isdisjoint({"ids", "checks"}):
+                continue  # --ids would change the subset kind
+            given = {**needed, option: values[option], **fixed}
+            argv = ["--N", "8"]
+            for name, value in given.items():
+                argv += [f"--{name}"] + ([] if value is None else [value])
+            calls.clear()
+            if used.isdisjoint(readers):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out, calls) == (2, "", []), argv
+                assert err.startswith(f"error: --{option} is "), argv
+                assert err.endswith(unread) and err.count("\n") == 1, argv
+            else:
+                with pytest.raises(Reached):
+                    main(argv)
+                assert len(calls) == 1, argv
+    assert not (tmp_path / "t").exists()

@@ -119,6 +119,8 @@ def test_generate_family_spec_points():
 
     with pytest.raises(ValueError):
         generate_family(16, 2, 0.5, n_max=4)  # 4 > 2^{0.5}
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        generate_family(16, 4, 0.5, n_max=0)
 
 
 def test_generate_family_is_reproducible():
@@ -150,6 +152,10 @@ def test_exhaustive_budget_and_mode_selection():
     big = generate_family(4096, 64, 0.5, n_max=4, verify_mode="auto",
                           trials=2000)
     assert big.certificate.mode == "sampled"
+    with pytest.raises(ValueError, match="exceeds the work budget"):
+        verify_family(big, mode="exhaustive")
+    with pytest.raises(ValueError, match="unknown verification mode"):
+        verify_family(fam, mode="proof")
 
 
 def test_sampled_verification_spec_grid():
@@ -260,6 +266,8 @@ def test_file_round_trip_byte_equal():
     assert dump_family(again) == text
     assert again.partitions == fam.partitions
     assert again.certificate.token() == fam.certificate.token()
+    for token in ("unverified", "sampled:7", "exhaustive:2"):
+        assert Certificate.from_token(token).token() == token
     assert again.epsilon_tilde == fam.epsilon_tilde
 
 
@@ -282,6 +290,8 @@ def test_parse_family_rejects_malformed():
         parse_family("\n".join(bad))
     with pytest.raises(ValueError):
         parse_family("not a header\n")
+    with pytest.raises(ValueError, match="unknown certificate token"):
+        Certificate.from_token("proof:2")
 
 
 def test_verified_family_isolates_every_pair():
@@ -328,6 +338,8 @@ def test_balls_monotone_in_bins():
 
 
 def test_balls_precondition_checks():
+    with pytest.raises(ValueError):
+        balls_in_bins_singleton_prob(0, 8, trials=10**4)  # no balls
     with pytest.raises(ValueError):
         balls_in_bins_singleton_prob(8, 8, trials=10**4)  # needs 2n <= b
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from radioleader.channel import CdModel
 from radioleader.protocols_core import (
     binary_search_election,
@@ -83,6 +85,13 @@ def pairing_reduce_once(devices, N):
         dev: prog.new_id for dev, prog in programs.items() if prog.survived
     }
     return survivors, report
+
+
+def test_ceil_log2():
+    assert [ceil_log2(n) for n in (1, 2, 3, 4, 5, 1024, 1025)] == [
+        0, 1, 2, 2, 3, 10, 11]
+    with pytest.raises(ValueError, match="n >= 1"):
+        ceil_log2(0)
 
 
 def test_pairing_level_lengths():

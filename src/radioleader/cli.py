@@ -90,27 +90,39 @@ DENSE_WALKS = ("dense_simple", "dense_improved")
 
 SUBSET_KINDS = ("all", "random", "file", "density")
 
-# option -> (what it is, what reads it, what needs it), of protocol names,
-# subset kinds ("ids" when --ids is given) and "checks"; --N, --seed, --out,
-# --json-out, --protocol and --checks are always read
+# option -> (what it is, what reads it, what needs it, its argparse
+# keywords), of protocol names, subset kinds ("ids" when --ids is given)
+# and "checks"; build_parser adds each option from its row, and --help
+# prints the row.  --N, --seed, --out, --json-out, --protocol and --checks
+# are always read, so they have no row
 OPTIONS = {
-    "b": ("the block width of the dense walks (dense_simple, dense_improved)",
-          DENSE_WALKS, ()),
-    "k": ("the energy budget knob of halving and tradeoff",
-          ("halving", "tradeoff", "checks"), ("tradeoff",)),
-    "epsilon": ("the slack exponent of tradeoff", ("tradeoff",), ("tradeoff",)),
-    "family": ("the partition family file of tradeoff", ("tradeoff",), ()),
-    "model": ("the collision-detection model of the runs", PROGRAMS, ()),
-    "assert-success": ("the strict-success gate of the runs", PROGRAMS, ()),
-    "emit-transcripts": ("the transcript directory of the runs", PROGRAMS, ()),
-    "ids": ("the one explicit device set", ("ids",), ()),
-    "subsets": ("the kind of device sets", SUBSET_KINDS, ()),
-    "n": ("the set size of --subsets random and the known bound of tradeoff",
-          ("random", "tradeoff"), ("random",)),
-    "trials": ("the set count of --subsets random", ("random",), ()),
-    "density": ("the density list of --subsets density", ("density",),
-                ("density",)),
-    "subsets-file": ("the set file of --subsets file", ("file",), ("file",)),
+    "b": ("the block width of the dense walks", DENSE_WALKS, (),
+          {"type": int}),
+    "k": ("the energy budget knob", ("halving", "tradeoff", "checks"),
+          ("tradeoff",), {"type": int}),
+    "epsilon": ("the slack exponent", ("tradeoff",), ("tradeoff",),
+                {"type": float}),
+    "family": ("the partition family file", ("tradeoff",), (),
+               {"metavar": "FILE"}),
+    "model": ("the collision-detection model of the runs ("
+              + " | ".join(m.value for m in CdModel)
+              + "; by default the protocol's weakest)", PROGRAMS, (), {}),
+    "assert-success": ("the strict-success gate of the runs", PROGRAMS, (),
+                       {"action": "store_true"}),
+    "emit-transcripts": ("the transcript directory of the runs", PROGRAMS,
+                         (), {"metavar": "DIR"}),
+    "ids": ("the one explicit device set (ids such as 3,11,12)", ("ids",),
+            (), {}),
+    "subsets": ("the kind of device sets (by default random)", SUBSET_KINDS,
+                (), {"choices": SUBSET_KINDS}),
+    "n": ("the set size or its known bound", ("random", "tradeoff"),
+          ("random",), {"type": int}),
+    "trials": ("the set count (by default 20)", ("random",), (),
+               {"type": int}),
+    "density": ("the density list (fractions such as 1,1/2,1/4 or 2^-3)",
+                ("density",), ("density",), {}),
+    "subsets-file": ("the set file (one set per line, ids separated by "
+                     "spaces or commas)", ("file",), ("file",), {}),
 }
 
 CSV_HEADER = (
@@ -138,38 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="radioleader",
         description="run leader-election experiments on a simulated "
         "single-hop radio channel",
+        epilog="Readers and needers are protocols, --subsets kinds, ids "
+        "(--ids) and checks (--checks).",
     )
     p.add_argument("--protocol", choices=PROGRAMS, default=None,
                    help="the protocol to run; required except with --checks, "
                         "which ignores it")
-    p.add_argument("--model", default=None,
-                   help="strong_cd | sender_cd | receiver_cd | no_cd "
-                        "(default depends on the protocol)")
     p.add_argument("--N", type=int, required=True, help="id space size")
-    p.add_argument("--n", type=int, default=None,
-                   help="device count for random subsets / known bound "
-                        "for the trade-off")
-    p.add_argument("--k", type=int, default=None, help="energy budget knob")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--b", type=int, default=None,
-                   help="block width of the dense walks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subsets", choices=SUBSET_KINDS, default=None,
-                   help="the device sets to run (default random)")
-    p.add_argument("--subsets-file", default=None,
-                   help="one subset per line, ids separated by spaces or commas")
-    p.add_argument("--ids", default=None,
-                   help="run one explicit subset, e.g. --ids 3,11,12")
-    p.add_argument("--density", default=None,
-                   help="comma list of fractions for --subsets density, "
-                        "e.g. 1,1/2,1/4 or 2^-3")
-    p.add_argument("--trials", type=int, default=None,
-                   help="subset count for --subsets random (default 20)")
-    p.add_argument("--assert-success", action="store_true",
-                   help="exit nonzero if any run misses strict success")
-    p.add_argument("--emit-transcripts", metavar="DIR", default=None)
-    p.add_argument("--family", metavar="FILE", default=None,
-                   help="partition family file for --protocol tradeoff")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="CSV output path (default stdout)")
     p.add_argument("--json-out", metavar="FILE", default=None)
@@ -177,6 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the lower-bound checker battery instead; the "
                         "battery is fixed (binary_search, halving, pairing), "
                         "so it needs no --protocol")
+    for option, (what, readers, needers, keywords) in OPTIONS.items():
+        text = f"{what}; read by {', '.join(readers)}"
+        if needers:
+            text += f"; needed by {', '.join(needers)}"
+        p.add_argument(f"--{option}", **keywords, help=text)
     return p
 
 
@@ -233,7 +226,7 @@ def _refuse_options(args) -> None:
     used = {"checks"} if args.checks else {args.protocol, kind}
     run = f"{args.protocol} with " + (
         "--ids" if kind == "ids" else f"--subsets {kind}")
-    for option, (what, readers, needers) in OPTIONS.items():
+    for option, (what, readers, needers, _) in OPTIONS.items():
         value = getattr(args, option.replace("-", "_"))
         if value is None or value is False:
             if not used.isdisjoint(needers):
@@ -275,6 +268,11 @@ def _model_for(args) -> CdModel:
     return CdModel.parse(args.model)
 
 
+def _halving_k(args) -> int:
+    """--k, or halving's default of ceil(log2 N) probes."""
+    return args.k if args.k is not None else ceil_log2(max(args.N, 2))
+
+
 def _run_one(args, model: CdModel, devices: List[int],
              family=None) -> Tuple[RunReport, str, str]:
     """Returns (report, b column, k column)."""
@@ -284,7 +282,7 @@ def _run_one(args, model: CdModel, devices: List[int],
     if proto == "binary_search":
         return binary_search_election(devices, N, model=model), "", ""
     if proto == "halving":
-        k = args.k if args.k is not None else ceil_log2(max(N, 2))
+        k = _halving_k(args)
         report = halving_tradeoff_election(devices, N, k, model=model)
         return report, "", str(k)
     if proto == "tradeoff":
@@ -377,25 +375,18 @@ def run_experiment(args):
     return rows, [agg], transcripts, attempt_rows
 
 
-def _checker_factories(args):
-    N = args.N
-    k = args.k if args.k is not None else ceil_log2(max(N, 2))
-    return [
-        ("binary_search", BinarySearchElectionProgram,
-         ProtocolConfig(model=CdModel.STRONG_CD, N=N)),
-        ("halving", HalvingTradeoffProgram,
-         ProtocolConfig(model=CdModel.STRONG_CD, N=N, k=k)),
-        ("pairing", PairingElectionProgram,
-         ProtocolConfig(model=CdModel.STRONG_CD, N=N)),
-    ]
-
-
 def run_checks(args) -> List[Record]:
     if args.N > 1 << 14:
         # pairing alone holds N canonical sequences of about N slots each
         raise ValueError("--checks refuses N > 2^14 (N^2 memory)")
+    strong = ProtocolConfig(model=CdModel.STRONG_CD, N=args.N)
     rows = []
-    for name, factory, config in _checker_factories(args):
+    for name, factory, config in (
+            ("binary_search", BinarySearchElectionProgram, strong),
+            ("halving", HalvingTradeoffProgram,
+             ProtocolConfig(model=CdModel.STRONG_CD, N=args.N,
+                            k=_halving_k(args))),
+            ("pairing", PairingElectionProgram, strong)):
         t = factory.schedule_length(config)
         seqs = list(canonical_sequences(factory, config, STRONG_STYLE))
         pair = first_duplicate(seqs)
@@ -420,9 +411,8 @@ def run_checks(args) -> List[Record]:
     # feedback-tree exploration on the binary search election only: the
     # other programs branch on message payloads, not just collision/silence
     factory = BinarySearchElectionProgram
-    config = ProtocolConfig(model=CdModel.STRONG_CD, N=args.N)
-    budget = factory.schedule_length(config)
-    count = potential_active_slots(factory, 1, config, budget)
+    budget = factory.schedule_length(strong)
+    count = potential_active_slots(factory, 1, strong, budget)
     rows.append(_record(
         CHECK_HEADER, "potential_active_slots", "binary_search", str(args.N),
         str(budget), str(budget),
@@ -566,6 +556,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out and os.path.exists(args.out) and not os.path.isfile(args.out):
             raise ValueError(f"--out names the other tables too, so it must be "
                              f"a regular file or a new path, not {args.out}")
+        real = args.out and os.path.realpath(args.out)
+        if real and os.path.dirname(real) != os.path.realpath(
+                os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out names the other tables next to it, so "
+                             f"it may link only within its directory, not "
+                             f"{args.out} -> {real}")
         if args.checks:
             rows = run_checks(args)
             table(args.out, CHECK_HEADER, rows)

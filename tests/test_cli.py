@@ -1,5 +1,7 @@
+import argparse
 import gc
 import json
+import os
 
 import pytest
 
@@ -488,15 +490,54 @@ def test_out_must_be_a_regular_file_or_a_new_path(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["null.csv"]
 
 
+def test_out_may_link_only_within_its_directory(tmp_path, capsys,
+                                                monkeypatch):
+    # the other tables are named by appending to the link's own path, so a
+    # link to a file in another directory would get them beside the link
+    def run_one(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    real = tmp_path / "b" / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "a" / "runs.csv"
+    link.symlink_to(os.path.join("..", "b", "real.csv"))
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
+                             "--ids", "1,2", "--out", str(link))
+    assert (code, out) == (2, "")
+    assert err == ("error: --out names the other tables next to it, so it "
+                   "may link only within its directory, not "
+                   f"{link} -> {os.path.realpath(real)}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert real.read_text() == "old\n"
+
+
 # every option of the parser that OPTIONS leaves out
 ALWAYS_READ = {"N", "seed", "out", "json_out", "protocol", "checks"}
 
 
 def test_every_option_is_in_the_table_or_always_read():
-    declared = {action.dest for action in build_parser()._actions} - {"help"}
+    actions = build_parser()._actions
+    declared = {action.dest for action in actions} - {"help"}
     tabled = {option.replace("-", "_") for option in cli.OPTIONS}
     assert declared == tabled | ALWAYS_READ
     assert not tabled & ALWAYS_READ
+    # a tabled option is declared by its row alone: the parser's entry has
+    # the row's keywords, and its --help the row's description followed by
+    # every reader and needer
+    by_flag = {action.option_strings[-1]: action for action in actions}
+    for option, (what, readers, needers, keywords) in cli.OPTIONS.items():
+        action = by_flag[f"--{option}"]
+        row = argparse.ArgumentParser().add_argument(f"--{option}", **keywords)
+        for attr in ("type", "choices", "metavar", "nargs", "const", "default"):
+            assert getattr(action, attr) == getattr(row, attr), (option, attr)
+        assert type(action) is type(row), option
+        assert action.help.startswith(what), option
+        named = action.help[len(what):].replace(",", " ").replace(";", " ")
+        assert set(readers) | set(needers) <= set(named.split()), option
 
 
 COUNTED = (
@@ -703,9 +744,9 @@ def test_the_table_decides_every_refusal(tmp_path, capsys, monkeypatch):
             for kind, chosen in selecting.items()]
     for used, fixed, unread in invocations:
         needed = {option: values[option]
-                  for option, (_, _, needers) in cli.OPTIONS.items()
+                  for option, (_, _, needers, _) in cli.OPTIONS.items()
                   if not used.isdisjoint(needers)}
-        for option, (_, readers, _) in cli.OPTIONS.items():
+        for option, (_, readers, _, _) in cli.OPTIONS.items():
             if option == "ids" and used.isdisjoint({"ids", "checks"}):
                 continue  # --ids would change the subset kind
             given = {**needed, option: values[option], **fixed}

@@ -24,8 +24,6 @@ from .lowerbound import (
     uniqueness_check,
 )
 from .partitions import (
-    Certificate,
-    Partition,
     PartitionFamily,
     RetriesExhausted,
     balls_in_bins_singleton_prob,
@@ -63,12 +61,10 @@ __all__ = [
     "Action",
     "BudgetExceeded",
     "CdModel",
-    "Certificate",
     "DeviceProgram",
     "EnergyLedger",
     "Feedback",
     "InvalidParams",
-    "Partition",
     "PartitionFamily",
     "ProtocolConfig",
     "RetriesExhausted",

@@ -553,6 +553,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.N < 1:
             raise ValueError("--N must be at least 1")
         _refuse_options(args)
+        for option in ("out", "json_out", "emit_transcripts"):
+            if getattr(args, option) == "":
+                raise ValueError(f"--{option.replace('_', '-')} must name a "
+                                 f"path, not ''")
         if args.out and os.path.exists(args.out) and not os.path.isfile(args.out):
             raise ValueError(f"--out names the other tables too, so it must be "
                              f"a regular file or a new path, not {args.out}")

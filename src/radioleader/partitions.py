@@ -7,15 +7,22 @@ V.  That singleton is what lets a transmitter hear itself alone on the
 channel, so verified families turn a randomized argument into a
 deterministic protocol input.
 
+A family is a K x N label table: partitions[i][x - 1] in 1..b is the part
+of id x under partition i, and its certificate is the token "unverified",
+"exhaustive:<n_max>" or "sampled:<trials>".  Every family is checked on
+construction, whether drawn, parsed or built by hand; a malformed one is
+refused with ValueError.
+
 Families are generated Las Vegas style: draw K uniform partitions from a
 counter-based splitmix64 stream, verify the covering property, and retry
 with seed+1 on failure.  The stream is position-indexed,
 
     value(seed, p) = mix64((seed + (p+1) * GAMMA) mod 2^64)
-    part_of(partition i, id x) = 1 + value(seed, i*N + x - 1) mod b
+    partitions[i][x - 1] = 1 + value(seed, i*N + x - 1) mod b
 
 with mix64 the standard splitmix64 finalizer, so generation is reproducible
-from (seed, N, b, K) alone, in any order and under any parallel split.
+from (seed, N, b, K) alone, in any order and under any parallel split, and
+the first K' rows of a draw are the draw of K' rows.
 Serialized families carry the explicit part assignments, so files stay
 portable even across implementations that never heard of the stream.
 
@@ -45,6 +52,7 @@ splitmix64_at(seed, 0), scored in batches like sampled verification.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence, Tuple
@@ -79,58 +87,36 @@ def _splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """part_of[x-1] is the 1-based part index of id x."""
-
-    b: int
-    part_of: Tuple[int, ...]
-
-    def part(self, ident: int) -> int:
-        return self.part_of[ident - 1]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    mode: str  # "unverified" | "exhaustive" | "sampled"
-    n_max: Optional[int] = None
-    trials: Optional[int] = None
-
-    def token(self) -> str:
-        if self.mode == "exhaustive":
-            return f"exhaustive:{self.n_max}"
-        if self.mode == "sampled":
-            return f"sampled:{self.trials}"
-        return "unverified"
-
-    @classmethod
-    def from_token(cls, token: str) -> "Certificate":
-        if token == "unverified":
-            return cls("unverified")
-        mode, _, arg = token.partition(":")
-        if mode == "exhaustive":
-            return cls("exhaustive", n_max=int(arg))
-        if mode == "sampled":
-            return cls("sampled", trials=int(arg))
-        raise ValueError(f"unknown certificate token {token!r}")
-
-
-@dataclass(frozen=True)
 class PartitionFamily:
     N: int
     b: int
-    K: int
     epsilon_tilde: float
     n_max: int
     seed: int
     c_const: int
-    partitions: Tuple[Partition, ...]
-    certificate: Certificate
+    partitions: Tuple[Tuple[int, ...], ...]
+    certificate: str
+
+    def __post_init__(self):
+        if not self.partitions:
+            raise ValueError("a partition family needs at least one partition")
+        for row in self.partitions:
+            if len(row) != self.N or not row or min(row) < 1 or max(row) > self.b:
+                raise ValueError(f"a partition row must hold N={self.N} labels "
+                                 f"in 1..{self.b}")
+        if not re.fullmatch(r"unverified|(exhaustive|sampled):[0-9]+",
+                            self.certificate):
+            raise ValueError(f"unknown certificate token {self.certificate!r}")
+
+    @property
+    def K(self) -> int:
+        return len(self.partitions)
 
 
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
-    certificate: Optional[Certificate]
+    certificate: Optional[str]
     counterexample: Optional[Tuple[int, ...]]
 
 
@@ -145,11 +131,10 @@ def family_size(N: int, b: int, epsilon_tilde: float, c_const: int = C_CONST) ->
     return max(1, math.ceil((c_const / epsilon_tilde) * ratio - 1e-9))
 
 
-def _draw_partitions(N: int, b: int, K: int, seed: int) -> Tuple[Partition, ...]:
+def _draw_partitions(N: int, b: int, K: int, seed: int) -> Tuple[Tuple[int, ...], ...]:
     values = _splitmix64_block(seed, 0, K * N)
-    parts = (values % np.uint64(b)).astype(np.int64) + 1
-    grid = parts.reshape(K, N)
-    return tuple(Partition(b=b, part_of=tuple(int(x) for x in row)) for row in grid)
+    grid = ((values % np.uint64(b)).astype(np.int64) + 1).reshape(K, N)
+    return tuple(map(tuple, grid.tolist()))
 
 
 def _rows_have_singleton(labels: np.ndarray) -> np.ndarray:
@@ -184,12 +169,13 @@ def _missed_rows(grid: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return missed
 
 
-def subset_hits_family(partitions: Sequence[Partition], subset: Sequence[int]) -> bool:
-    """True when some partition isolates one member of the subset."""
-    for partition in partitions:
+def subset_hits_family(partitions: Sequence[Sequence[int]],
+                       subset: Sequence[int]) -> bool:
+    """True when some partition row isolates one member of the subset."""
+    for row in partitions:
         seen = {}
         for ident in subset:
-            p = partition.part_of[ident - 1]
+            p = row[ident - 1]
             seen[p] = seen.get(p, 0) + 1
         if 1 in seen.values():
             return True
@@ -222,11 +208,11 @@ def verify_family(
             for subset in combinations(range(1, family.N + 1), m):
                 if not subset_hits_family(family.partitions, subset):
                     return VerifyResult(False, None, subset)
-        return VerifyResult(True, Certificate("exhaustive", n_max=family.n_max), None)
+        return VerifyResult(True, f"exhaustive:{family.n_max}", None)
     if mode == "sampled":
         if trials < 1:
             raise ValueError("sampled verification needs trials >= 1")
-        grid = np.array([p.part_of for p in family.partitions], dtype=np.int64)
+        grid = np.array(family.partitions, dtype=np.int64)
         stream_seed = splitmix64_at(rng_seed, 0)
         position = 0
         for m in range(1, min(family.n_max, family.N) + 1):
@@ -239,7 +225,7 @@ def verify_family(
                 if missed.size:
                     subset = tuple(sorted(int(x) for x in subsets[missed[0]]))
                     return VerifyResult(False, None, subset)
-        return VerifyResult(True, Certificate("sampled", trials=trials), None)
+        return VerifyResult(True, f"sampled:{trials}", None)
     raise ValueError(f"unknown verification mode {mode!r}")
 
 
@@ -269,13 +255,12 @@ def generate_family(
         family = PartitionFamily(
             N=N,
             b=b,
-            K=K,
             epsilon_tilde=epsilon_tilde,
             n_max=n_max,
             seed=attempt_seed,
             c_const=C_CONST,
             partitions=_draw_partitions(N, b, K, attempt_seed),
-            certificate=Certificate("unverified"),
+            certificate="unverified",
         )
         result = verify_family(family, mode=verify_mode, trials=trials)
         if result.ok:
@@ -293,9 +278,9 @@ def generate_family(
 def dump_family(family: PartitionFamily) -> str:
     header = (
         f"{family.N} {family.b} {family.K} {family.epsilon_tilde!r} "
-        f"{family.n_max} {family.seed} {family.c_const} {family.certificate.token()}"
+        f"{family.n_max} {family.seed} {family.c_const} {family.certificate}"
     )
-    rows = [" ".join(str(p) for p in part.part_of) for part in family.partitions]
+    rows = [" ".join(map(str, row)) for row in family.partitions]
     return "\n".join([header] + rows) + "\n"
 
 
@@ -305,31 +290,20 @@ def save_family(family: PartitionFamily, path) -> None:
 
 
 def parse_family(text: str) -> PartitionFamily:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    fields = lines[0].split()
-    if len(fields) != 8:
-        raise ValueError("family header must have 8 fields")
-    N, b, K = int(fields[0]), int(fields[1]), int(fields[2])
-    epsilon_tilde = float(fields[3])
-    n_max, seed, c_const = int(fields[4]), int(fields[5]), int(fields[6])
-    certificate = Certificate.from_token(fields[7])
-    if len(lines) != 1 + K:
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != 8:
+        raise ValueError("a family file starts with a header of 8 fields")
+    N, b, K, epsilon_tilde, n_max, seed, c_const, certificate = lines[0]
+    if len(lines) != 1 + int(K):
         raise ValueError(f"expected {K} partition rows, found {len(lines) - 1}")
-    partitions = []
-    for ln in lines[1:]:
-        row = tuple(int(tok) for tok in ln.split())
-        if len(row) != N or any(not 1 <= p <= b for p in row):
-            raise ValueError("malformed partition row")
-        partitions.append(Partition(b=b, part_of=row))
     return PartitionFamily(
-        N=N,
-        b=b,
-        K=K,
-        epsilon_tilde=epsilon_tilde,
-        n_max=n_max,
-        seed=seed,
-        c_const=c_const,
-        partitions=tuple(partitions),
+        N=int(N),
+        b=int(b),
+        epsilon_tilde=float(epsilon_tilde),
+        n_max=int(n_max),
+        seed=int(seed),
+        c_const=int(c_const),
+        partitions=tuple(tuple(map(int, row)) for row in lines[1:]),
         certificate=certificate,
     )
 

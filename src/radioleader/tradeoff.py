@@ -119,7 +119,7 @@ class PartitionTradeoffProgram(DeviceProgram):
         b = family.b
         for i in range(family.K):
             base = i * 2 * b
-            my_part = family.partitions[i].part(self.device_id)
+            my_part = family.partitions[i][self.device_id - 1]
             fb = yield (base + my_part - 1, transmit(self.device_id))
             # alone in the part <=> the device hears its own message back
             marked = fb.kind == "received" and fb.payload == self.device_id

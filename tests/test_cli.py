@@ -319,6 +319,16 @@ def test_tradeoff_with_family_file(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_an_empty_family_file_is_refused(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, "--protocol", "tradeoff", "--N", "4",
+                             "--n", "2", "--k", "2", "--epsilon", "0.5",
+                             "--family", str(empty), "--ids", "1,3")
+    assert (code, out) == (2, "")
+    assert err == "error: a family file starts with a header of 8 fields\n"
+
+
 def test_tradeoff_needs_k_and_epsilon(capsys):
     code, _, err = run_cli(capsys, "--protocol", "tradeoff", "--N", "16",
                            "--ids", "3,11")
@@ -488,6 +498,22 @@ def test_out_must_be_a_regular_file_or_a_new_path(tmp_path, capsys,
         assert err == ("error: --out names the other tables too, so it must "
                        f"be a regular file or a new path, not {out_path}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["null.csv"]
+
+
+@pytest.mark.parametrize("option", ["--out", "--json-out",
+                                    "--emit-transcripts"])
+def test_an_empty_output_path_is_refused_before_any_run(option, tmp_path,
+                                                        capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "pairing_election",
+                        lambda *a, **kw: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
+                             "--ids", "1,2", option, "")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must name a path, not ''\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_may_link_only_within_its_directory(tmp_path, capsys,

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radioleader.partitions import (
-    Certificate,
-    Partition,
     PartitionFamily,
     RetriesExhausted,
     _draw_partitions,
@@ -62,15 +60,30 @@ def test_draw_partitions_deterministic_and_uniformish():
     c = _draw_partitions(64, 4, 8, seed=4)
     assert a == b
     assert a != c
-    flat = [p for part in a for p in part.part_of]
+    flat = [p for row in a for p in row]
     assert set(flat) <= set(range(1, 5))
     # all four parts show up somewhere across 512 assignments
     assert set(flat) == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("N, b, K, seed", [
+    (1, 2, 1, 0), (7, 3, 5, 11), (64, 4, 8, 3), (33, 97, 4, (1 << 64) - 1),
+])
+def test_draw_follows_the_stream_formula_and_keeps_prefixes(N, b, K, seed):
+    rows = _draw_partitions(N, b, K, seed)
+    assert len(rows) == K
+    for i, row in enumerate(rows):
+        assert type(row) is tuple and len(row) == N
+        for x in range(1, N + 1):
+            assert type(row[x - 1]) is int
+            assert row[x - 1] == splitmix64_at(seed, i * N + x - 1) % b + 1
+    for K2 in range(1, K + 1):
+        assert rows[:K2] == _draw_partitions(N, b, K2, seed)
+
+
 def test_subset_hits_family():
-    iso = Partition(b=4, part_of=(1, 2, 3, 4))
-    merged = Partition(b=4, part_of=(1, 1, 2, 2))
+    iso = (1, 2, 3, 4)
+    merged = (1, 1, 2, 2)
     assert subset_hits_family([iso], (1, 2, 3))
     assert not subset_hits_family([merged], (1, 2, 3, 4))
     assert subset_hits_family([merged, iso], (1, 2, 3, 4))
@@ -79,22 +92,22 @@ def test_subset_hits_family():
 
 
 def test_identity_partition_family_verifies_for_any_size():
-    ident = Partition(b=8, part_of=tuple(range(1, 9)))
+    ident = tuple(range(1, 9))
     fam = PartitionFamily(
-        N=8, b=8, K=1, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
-        partitions=(ident,), certificate=Certificate("unverified"),
+        N=8, b=8, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
+        partitions=(ident,), certificate="unverified",
     )
     result = verify_family(fam, mode="exhaustive")
     assert result.ok
-    assert result.certificate.token() == "exhaustive:2"
+    assert result.certificate == "exhaustive:2"
     assert result.counterexample is None
 
 
 def test_single_part_family_fails_with_counterexample():
-    lump = Partition(b=4, part_of=(1, 1, 1, 1))
+    lump = (1, 1, 1, 1)
     fam = PartitionFamily(
-        N=4, b=4, K=2, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
-        partitions=(lump, lump), certificate=Certificate("unverified"),
+        N=4, b=4, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
+        partitions=(lump, lump), certificate="unverified",
     )
     result = verify_family(fam, mode="exhaustive")
     assert not result.ok
@@ -105,17 +118,17 @@ def test_single_part_family_fails_with_counterexample():
 def test_generate_family_spec_points():
     fam = generate_family(16, 4, 0.5, n_max=2)
     assert fam.K == 32
-    assert fam.certificate.token() == "exhaustive:2"
+    assert fam.certificate == "exhaustive:2"
     assert len(fam.partitions) == 32
-    assert all(p.b == 4 for p in fam.partitions)
+    assert all(set(row) <= {1, 2, 3, 4} for row in fam.partitions)
 
     # seed named in the worked example
     fam1 = generate_family(16, 4, 0.5, n_max=2, seed=1)
-    assert fam1.certificate.mode != "unverified"
+    assert fam1.certificate != "unverified"
 
     # n_max=1 is trivially fine whatever the draw
     trivial = generate_family(8, 8, 0.5, n_max=1)
-    assert trivial.certificate.mode != "unverified"
+    assert trivial.certificate != "unverified"
 
     with pytest.raises(ValueError):
         generate_family(16, 2, 0.5, n_max=4)  # 4 > 2^{0.5}
@@ -148,10 +161,10 @@ def test_generate_family_retry_exhaustion(monkeypatch):
 def test_exhaustive_budget_and_mode_selection():
     assert exhaustive_budget(16, 2) == 16 + 120
     fam = generate_family(16, 4, 0.5, n_max=2, verify_mode="auto")
-    assert fam.certificate.mode == "exhaustive"
+    assert fam.certificate == "exhaustive:2"
     big = generate_family(4096, 64, 0.5, n_max=4, verify_mode="auto",
                           trials=2000)
-    assert big.certificate.mode == "sampled"
+    assert big.certificate == "sampled:2000"
     with pytest.raises(ValueError, match="exceeds the work budget"):
         verify_family(big, mode="exhaustive")
     with pytest.raises(ValueError, match="unknown verification mode"):
@@ -161,7 +174,7 @@ def test_exhaustive_budget_and_mode_selection():
 def test_sampled_verification_spec_grid():
     fam = generate_family(256, 16, 0.5, n_max=4, verify_mode="sampled",
                           trials=5000)
-    assert fam.certificate.token() == "sampled:5000"
+    assert fam.certificate == "sampled:5000"
 
 
 def test_sampled_verification_rejects_vacuous_trials():
@@ -170,14 +183,14 @@ def test_sampled_verification_rejects_vacuous_trials():
             generate_family(4096, 64, 0.5, n_max=8, verify_mode="sampled",
                             trials=trials)
     # sizes above N are vacuous, as in exhaustive mode
-    ident = Partition(b=4, part_of=(1, 2, 3))
+    ident = (1, 2, 3)
     fam = PartitionFamily(
-        N=3, b=4, K=1, epsilon_tilde=0.5, n_max=5, seed=0, c_const=8,
-        partitions=(ident,), certificate=Certificate("unverified"),
+        N=3, b=4, epsilon_tilde=0.5, n_max=5, seed=0, c_const=8,
+        partitions=(ident,), certificate="unverified",
     )
     assert verify_family(fam, mode="exhaustive").ok
     result = verify_family(fam, mode="sampled", trials=50)
-    assert result.ok and result.certificate.token() == "sampled:50"
+    assert result.ok and result.certificate == "sampled:50"
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,10 +205,9 @@ def test_missed_rows_matches_scalar_check(data):
     subsets = data.draw(st.lists(
         st.lists(st.integers(1, N), min_size=m, max_size=m, unique=True),
         min_size=1, max_size=20))
-    partitions = [Partition(b=b, part_of=tuple(row)) for row in grid]
     missed = _missed_rows(np.array(grid, dtype=np.int64), np.array(subsets, dtype=np.int64))
     expected = [r for r, subset in enumerate(subsets)
-                if not subset_hits_family(partitions, subset)]
+                if not subset_hits_family(grid, subset)]
     assert missed.tolist() == expected
 
 
@@ -219,10 +231,10 @@ def test_floyd_subsets_are_uniform_and_reproducible():
 
 
 def test_sampled_lump_family_fails_reproducibly():
-    lump = Partition(b=4, part_of=(1, 1, 1, 1, 1, 1))
+    lump = (1, 1, 1, 1, 1, 1)
     fam = PartitionFamily(
-        N=6, b=4, K=2, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
-        partitions=(lump, lump), certificate=Certificate("unverified"),
+        N=6, b=4, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
+        partitions=(lump, lump), certificate="unverified",
     )
     result = verify_family(fam, mode="sampled", trials=100, rng_seed=5)
     assert not result.ok and result.certificate is None
@@ -239,8 +251,8 @@ def test_sampled_finds_what_exhaustive_finds():
     for seed in range(40):
         parts = _draw_partitions(10, 3, 4, seed)
         fam = PartitionFamily(
-            N=10, b=3, K=4, epsilon_tilde=0.5, n_max=3, seed=seed, c_const=1,
-            partitions=parts, certificate=Certificate("unverified"),
+            N=10, b=3, epsilon_tilde=0.5, n_max=3, seed=seed, c_const=1,
+            partitions=parts, certificate="unverified",
         )
         exhaustive = verify_family(fam, mode="exhaustive")
         sampled = verify_family(fam, mode="sampled", trials=2000, rng_seed=seed)
@@ -256,7 +268,7 @@ def test_benchmark_family_verifies_at_first_seed():
     for seed in range(1, 11):
         fam = generate_family(4096, 64, 0.5, n_max=8, seed=seed)
         assert fam.seed == seed
-        assert fam.certificate.token() == "sampled:100000"
+        assert fam.certificate == "sampled:100000"
 
 
 def test_file_round_trip_byte_equal():
@@ -265,9 +277,10 @@ def test_file_round_trip_byte_equal():
     again = parse_family(text)
     assert dump_family(again) == text
     assert again.partitions == fam.partitions
-    assert again.certificate.token() == fam.certificate.token()
+    assert again.certificate == fam.certificate
     for token in ("unverified", "sampled:7", "exhaustive:2"):
-        assert Certificate.from_token(token).token() == token
+        header = f"2 2 1 0.5 1 0 8 {token}\n1 2\n"
+        assert dump_family(parse_family(header)) == header
     assert again.epsilon_tilde == fam.epsilon_tilde
 
 
@@ -290,8 +303,32 @@ def test_parse_family_rejects_malformed():
         parse_family("\n".join(bad))
     with pytest.raises(ValueError):
         parse_family("not a header\n")
-    with pytest.raises(ValueError, match="unknown certificate token"):
-        Certificate.from_token("proof:2")
+
+
+# (rows, token, refusal) of N = 4, b = 4 families
+MALFORMED_FAMILIES = {
+    "label 0": (((1, 2, 0, 4),), "unverified", "labels in 1..4"),
+    "label b + 1": (((1, 2, 3, 5),), "unverified", "labels in 1..4"),
+    # every pair lands in distinct parts, so verify_family would certify it
+    "label 9": (((1, 2, 3, 9),), "unverified", "labels in 1..4"),
+    "short row": (((1, 2, 3, 4), (1, 2, 3)), "unverified", "N=4 labels"),
+    "long row": (((1, 2, 3, 4, 1),), "unverified", "N=4 labels"),
+    "no rows": ((), "unverified", "at least one partition"),
+    "token proof:2": (((1, 2, 3, 4),), "proof:2",
+                      "unknown certificate token 'proof:2'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FAMILIES)
+def test_every_malformed_family_is_refused_once(case):
+    rows, token, refusal = MALFORMED_FAMILIES[case]
+    with pytest.raises(ValueError, match=refusal):
+        PartitionFamily(N=4, b=4, epsilon_tilde=0.5, n_max=2, seed=0,
+                        c_const=8, partitions=rows, certificate=token)
+    text = f"4 4 {len(rows)} 0.5 2 0 8 {token}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows)
+    with pytest.raises(ValueError, match=refusal):
+        parse_family(text)
 
 
 def test_verified_family_isolates_every_pair():

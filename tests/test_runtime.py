@@ -38,7 +38,7 @@ from radioleader.dense import (
     exponential_search_election,
 )
 from radioleader.lowerbound import canonical_sequence
-from radioleader.partitions import Certificate, Partition, PartitionFamily
+from radioleader.partitions import PartitionFamily
 from radioleader.protocols_core import (
     BinarySearchElectionProgram,
     HalvingTradeoffProgram,
@@ -659,13 +659,12 @@ GOLDEN_TRADEOFF_K = {5: 2, 16: 4, 33: 3}
 def _golden_family(N):
     """Three fixed, unverified 4-part partitions of [1..N]."""
     partitions = tuple(
-        Partition(b=4, part_of=tuple((x * 7 + j * x * x) % 11 % 4 + 1
-                                     for x in range(1, N + 1)))
+        tuple((x * 7 + j * x * x) % 11 % 4 + 1 for x in range(1, N + 1))
         for j in range(3)
     )
     return PartitionFamily(
-        N=N, b=4, K=3, epsilon_tilde=0.5, n_max=N, seed=0, c_const=8,
-        partitions=partitions, certificate=Certificate("unverified"),
+        N=N, b=4, epsilon_tilde=0.5, n_max=N, seed=0, c_const=8,
+        partitions=partitions, certificate="unverified",
     )
 
 

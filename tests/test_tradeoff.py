@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from radioleader.channel import CdModel
-from radioleader.partitions import Certificate, Partition, PartitionFamily, generate_family
+from radioleader.partitions import PartitionFamily, generate_family
 from radioleader.protocols_core import ceil_log2, pairing_level_len
 from radioleader.runtime import NonDeterminism, ProtocolConfig, execute
 from radioleader.tradeoff import (
@@ -26,7 +26,7 @@ def small_family():
 def test_choose_params_small_point():
     fam = choose_params(16, 2, 4, 0.5)
     assert (fam.b, fam.K) == (4, 32)
-    assert fam.certificate.token() == "exhaustive:2"
+    assert fam.certificate == "exhaustive:2"
 
 
 def test_choose_params_case_one():
@@ -133,10 +133,10 @@ def test_partition_tradeoff_enforces_n_max():
 
 def test_bad_family_reports_no_leader():
     # every draw lumps all devices together, so nobody is ever alone
-    lump = Partition(b=4, part_of=(1,) * 8)
+    lump = (1,) * 8
     fam = PartitionFamily(
-        N=8, b=4, K=2, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
-        partitions=(lump, lump), certificate=Certificate("unverified"),
+        N=8, b=4, epsilon_tilde=0.5, n_max=2, seed=0, c_const=8,
+        partitions=(lump, lump), certificate="unverified",
     )
     report = partition_tradeoff_election([2, 5], fam)
     assert not report.strict_success
@@ -151,23 +151,27 @@ def test_replay_check_passes():
     execute(PartitionTradeoffProgram, [4, 9], config, check_replay=True)
 
 
-class ShiftingPartition:
-    """A partition whose part() answers differently on every call."""
+class ShiftingRow(tuple):
+    """A valid partition row whose lookups answer differently on every call.
+    The family check reads rows only through len, min and max, so the row
+    reaches the program as given."""
 
-    def __init__(self, b):
-        self.b = b
-        self.calls = itertools.count()
+    def __new__(cls, N, b):
+        row = super().__new__(cls, (1,) * N)
+        row.b = b
+        row.calls = itertools.count()
+        return row
 
-    def part(self, ident):
+    def __getitem__(self, index):
         return next(self.calls) % self.b + 1
 
 
 def test_replay_check_catches_a_shifting_partition():
     fam = small_family()
     shifty = PartitionFamily(
-        N=fam.N, b=fam.b, K=fam.K, epsilon_tilde=0.5, n_max=fam.n_max, seed=0,
-        c_const=8, partitions=(ShiftingPartition(fam.b),) * fam.K,
-        certificate=Certificate("unverified"),
+        N=fam.N, b=fam.b, epsilon_tilde=0.5, n_max=fam.n_max, seed=0,
+        c_const=8, partitions=(ShiftingRow(fam.N, fam.b),) * fam.K,
+        certificate="unverified",
     )
     config = ProtocolConfig(model=SE, N=fam.N, family=shifty)
     with pytest.raises(NonDeterminism):
@@ -175,12 +179,12 @@ def test_replay_check_catches_a_shifting_partition():
 
 
 def test_replay_divergence_names_the_first_differing_event():
-    # the replay keeps counting part() calls, so device 4 marks a later slot
+    # the replay keeps counting row lookups, so device 4 marks a later slot
     fam = small_family()
     shifty = PartitionFamily(
-        N=fam.N, b=fam.b, K=fam.K, epsilon_tilde=0.5, n_max=fam.n_max, seed=0,
-        c_const=8, partitions=(ShiftingPartition(fam.b),) * fam.K,
-        certificate=Certificate("unverified"),
+        N=fam.N, b=fam.b, epsilon_tilde=0.5, n_max=fam.n_max, seed=0,
+        c_const=8, partitions=(ShiftingRow(fam.N, fam.b),) * fam.K,
+        certificate="unverified",
     )
     config = ProtocolConfig(model=SE, N=fam.N, family=shifty)
     mark = "Action(kind='transmit', payload=4), Feedback(kind='received', payload=4))"
@@ -200,12 +204,12 @@ def test_marked_devices_really_are_alone():
             offset_in_pass = rnd % span
             if action.kind != "transmit" or offset_in_pass >= fam.b:
                 continue
-            part = fam.partitions[rnd // span].part(dev)
+            part = fam.partitions[rnd // span][dev - 1]
             assert offset_in_pass == part - 1
             if fb.kind == "received" and fb.payload == dev:
                 others = [d for d in subset if d != dev]
                 assert all(
-                    fam.partitions[rnd // span].part(d) != part for d in others
+                    fam.partitions[rnd // span][d - 1] != part for d in others
                 )
 
 

@@ -73,23 +73,6 @@ class CdModel(Enum):
         """True when listeners can tell collision from silence."""
         return self in (CdModel.STRONG_CD, CdModel.RECEIVER_CD)
 
-    @classmethod
-    def parse(cls, text: str) -> "CdModel":
-        key = text.strip().lower().replace("-", "_")
-        aliases = {
-            "strong": cls.STRONG_CD,
-            "sender": cls.SENDER_CD,
-            "receiver": cls.RECEIVER_CD,
-            "none": cls.NO_CD,
-            "nocd": cls.NO_CD,
-        }
-        if key in aliases:
-            return aliases[key]
-        for m in cls:
-            if m.value == key:
-                return m
-        raise ValueError(f"unknown collision-detection model: {text!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class Action:

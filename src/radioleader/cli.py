@@ -104,9 +104,9 @@ OPTIONS = {
                 {"type": float}),
     "family": ("the partition family file", ("tradeoff",), (),
                {"metavar": "FILE"}),
-    "model": ("the collision-detection model of the runs ("
-              + " | ".join(m.value for m in CdModel)
-              + "; by default the protocol's weakest)", PROGRAMS, (), {}),
+    "model": ("the collision-detection model of the runs (by default the "
+              "protocol's weakest)", PROGRAMS, (),
+              {"choices": [m.value for m in CdModel]}),
     "assert-success": ("the strict-success gate of the runs", PROGRAMS, (),
                        {"action": "store_true"}),
     "emit-transcripts": ("the transcript directory of the runs", PROGRAMS,
@@ -173,7 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_density(text: str) -> List[Fraction]:
+def _parse_density(text: str, N: int) -> List[Fraction]:
+    # base^expo with |base| >= 2 and |expo| > cap is above 1 or negative
+    # (refused), or at most 1/(2N): a one-device set, like base^-cap (cap
+    # is even, so that is positive).  Taking such a power exactly could
+    # run for minutes
+    cap = 2 * N.bit_length() + 2
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -182,7 +187,12 @@ def _parse_density(text: str) -> List[Fraction]:
         try:
             if "^" in piece:
                 base, _, expo = piece.partition("^")
-                out.append(Fraction(int(base)) ** int(expo))
+                base, expo = int(base), int(expo)
+                if abs(base) >= 2 and abs(expo) > cap:
+                    if expo > 0 or (base < 0 and expo % 2):
+                        raise ValueError(f"density {piece} outside (0, 1]")
+                    expo = -cap
+                out.append(Fraction(base) ** expo)
             else:
                 out.append(Fraction(piece))
         except ZeroDivisionError:
@@ -249,7 +259,8 @@ def generate_subsets(args) -> List[List[int]]:
     if kind == "file":
         return _read_subsets_file(args.subsets_file)
     if kind == "density":
-        sizes = [max(1, round(c * N)) for c in _parse_density(args.density)]
+        sizes = [max(1, round(c * N))
+                 for c in _parse_density(args.density, N)]
     else:  # random
         if not (1 <= args.n <= N):
             raise ValueError("need 1 <= n <= N")
@@ -265,7 +276,7 @@ def _model_for(args) -> CdModel:
     """--model, or the protocol's weakest: its last, in CdModel order."""
     if args.model is None:
         return PROGRAMS[args.protocol].models[-1]
-    return CdModel.parse(args.model)
+    return CdModel(args.model)
 
 
 def _halving_k(args) -> int:

@@ -11,7 +11,9 @@ One walk builds the labelling.  Block i lasts a fixed number of rounds and
 ends in a handoff slot in which the group head passes its counter to the
 device heading block i + 1, so a device takes part in at most three
 blocks: its own, the one it heads, and the one before that.  The walk is
-written once; two block bodies plug into it:
+written once (_block_walk, with _walk_len its round count); each election
+program names its block body once, in its `block` and `block_len` class
+attributes:
 
 * dense_simple_election  - two slots per id: the current group head hands
   its counter to each candidate in turn.  2w + 1 rounds for a block of
@@ -274,51 +276,33 @@ def _improved_block(cid, i, lo, hi, first, r, s):
     return r, s
 
 
-def dense_simple_phase(cid: int, space: int, b: int, base: int = 0):
-    """Label chain of the two-slots-per-id walk, starting at round `base`."""
-    return _block_walk(cid, space, b, base, _simple_block_len, _simple_block)
-
-
-def dense_simple_phase_len(space: int, b: int) -> int:
-    return _walk_len(space, b, _simple_block_len)
-
-
-def dense_improved_phase(cid: int, space: int, b: int, base: int = 0):
-    """Census-driven walk producing the same labels as dense_simple_phase,
-    starting at round `base`."""
-    return _block_walk(cid, space, b, base, _improved_block_len, _improved_block)
-
-
-def dense_improved_phase_len(space: int, b: int) -> int:
-    return _walk_len(space, b, _improved_block_len)
-
-
 class _DenseProgram(DeviceProgram):
-    """One block walk (`phase`, `phase_len`; set by subclasses) and the
+    """One block walk (`block`, `block_len`; set by subclasses) and the
     announcement of its rank-1 device."""
 
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
         if config.b is None or config.b < 1:
             raise ValueError("block width b must be >= 1")
-        return cls.phase_len(config.N, config.b) + 1
+        return _walk_len(config.N, config.b, cls.block_len) + 1
 
     def run(self):
-        rank = yield from self.phase(self.device_id, self.config.N, self.config.b)
-        self.rank = rank
-        yield from self.announce(
-            self.phase_len(self.config.N, self.config.b), rank == 1
+        N, b = self.config.N, self.config.b
+        rank = yield from _block_walk(
+            self.device_id, N, b, 0, self.block_len, self.block
         )
+        self.rank = rank
+        yield from self.announce(_walk_len(N, b, self.block_len), rank == 1)
 
 
 class DenseSimpleProgram(_DenseProgram):
-    phase = staticmethod(dense_simple_phase)
-    phase_len = staticmethod(dense_simple_phase_len)
+    block = staticmethod(_simple_block)
+    block_len = staticmethod(_simple_block_len)
 
 
 class DenseImprovedProgram(_DenseProgram):
-    phase = staticmethod(dense_improved_phase)
-    phase_len = staticmethod(dense_improved_phase_len)
+    block = staticmethod(_improved_block)
+    block_len = staticmethod(_improved_block_len)
 
 
 def dense_simple_election(
@@ -349,33 +333,27 @@ def choose_dense_b(N: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ExpAttempt:
+    """Attempt `index`: the improved walk over [1..space] in blocks of width
+    b from round `base`, its success test at `test_slot`, then one knockout
+    level that ends before round `end`."""
+
     index: int
     space: int
     b: int
     base: int
-    core_len: int
-
-    @property
-    def test_slot(self) -> int:
-        return self.base + self.core_len
-
-    @property
-    def reduce_base(self) -> int:
-        return self.test_slot + 1
-
-    @property
-    def reduce_len(self) -> int:
-        return pairing_level_len(self.space)
-
-    @property
-    def end(self) -> int:
-        return self.reduce_base + self.reduce_len
+    test_slot: int
+    end: int
 
 
 def _attempt_block_width(model: CdModel, attempt: int, space: int) -> int:
-    """Block width schedule: doubly exponential growth for the models whose
-    census budget is logarithmic, triply exponential where a stronger inner
-    census would make attempts even cheaper."""
+    """Block width of attempt `attempt` over an id space of `space` ids.
+
+    The width is 2^(2^attempt) under receiver_cd and no_cd and
+    2^(2^(2^attempt)) under strong_cd and sender_cd, capped at `space`.
+    Every model runs the same census, at 2 log2 b + O(1) per device, so
+    the faster sender-side growth buys nothing yet: at N = 2^12 it costs
+    more than the no_cd schedule at n = 16, 1,024 and 4,096 (ROADMAP item
+    3, which plans a sender-side block body)."""
     if model.sender_side:
         if (1 << attempt) >= 20:
             return space
@@ -399,10 +377,10 @@ def exponential_plan(N: int, model: CdModel) -> Tuple[Tuple[ExpAttempt, ...], in
     i = 1
     while space >= 2:
         b = _attempt_block_width(model, i, space)
-        core = dense_improved_phase_len(space, b)
-        att = ExpAttempt(index=i, space=space, b=b, base=base, core_len=core)
-        attempts.append(att)
-        base = att.end
+        test_slot = base + _walk_len(space, b, DenseImprovedProgram.block_len)
+        end = test_slot + 1 + pairing_level_len(space)
+        attempts.append(ExpAttempt(i, space, b, base, test_slot, end))
+        base = end
         space = (space + 1) // 2
         i += 1
     return tuple(attempts), base
@@ -416,13 +394,16 @@ class ExponentialSearchProgram(DeviceProgram):
 
     def run(self):
         attempts, final_slot = exponential_plan(self.config.N, self.config.model)
+        block_len, block = DenseImprovedProgram.block_len, DenseImprovedProgram.block
         cid = self.device_id
         live = True
         for att in attempts:
-            rank = yield from dense_improved_phase(cid, att.space, att.b, att.base)
+            rank = yield from _block_walk(
+                cid, att.space, att.b, att.base, block_len, block
+            )
             if (yield from self.announce(att.test_slot, rank == 1)):
                 return
-            live, cid = yield from pairing_level_phase(cid, att.space, att.reduce_base)
+            live, cid = yield from pairing_level_phase(cid, att.space, att.test_slot + 1)
             if not live:
                 break
         # a survivor of every level is alone in the id space that is left

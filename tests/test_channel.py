@@ -118,16 +118,6 @@ def test_collision_never_reported_in_two_way_models():
             assert COLLISION not in feedback.values()
 
 
-def test_parse_aliases():
-    assert CdModel.parse("strong") is S
-    assert CdModel.parse("Sender-CD") is X
-    assert CdModel.parse("receiver_cd") is R
-    assert CdModel.parse("nocd") is N
-    assert CdModel.parse("none") is N
-    with pytest.raises(ValueError):
-        CdModel.parse("half_duplex")
-
-
 _action = st.sampled_from(["idle", "listen", "transmit"])
 
 

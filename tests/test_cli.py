@@ -2,6 +2,8 @@ import argparse
 import gc
 import json
 import os
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -227,7 +229,7 @@ def test_subset_draws_are_pinned():
         [4, 6, 11, 24], [3, 14, 17, 20], [11, 24, 26, 28]]
 
 
-def test_inadmissible_model_exits_2(capsys):
+def test_inadmissible_model_exits_2(tmp_path, capsys):
     inadmissible = {(name, m.value) for name, cls in PROGRAMS.items()
                     for m in CdModel if m not in cls.models}
     assert inadmissible == {
@@ -240,6 +242,15 @@ def test_inadmissible_model_exits_2(capsys):
                              "--N", "16", "--ids", "9,10", "--model", "no_cd")
     assert code == 2 and out == ""
     assert "error:" in err and "not no_cd" in err
+    # --model takes exactly the four model names, no alias or other spelling
+    for alias in ("strong", "Sender-CD", "nocd"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--protocol", "pairing", "--N", "4", "--ids", "1,2",
+                  "--model", alias, "--out", str(tmp_path / "runs.csv")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_explicit_ids(capsys):
@@ -296,6 +307,39 @@ def test_density_grid(capsys):
                                  "--N", str(N), "--subsets", "density",
                                  "--density", density)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_huge_density_exponents_stay_cheap_and_exact():
+    def sizes(N, density):
+        args = build_parser().parse_args(
+            ["--protocol", "pairing", "--N", str(N), "--subsets", "density",
+             f"--density={density}"])
+        try:
+            return [len(s) for s in generate_subsets(args)]
+        except ValueError:
+            return "refused"
+
+    start = time.perf_counter()
+    assert sizes(8, "10^-20000000") == [1]
+    assert time.perf_counter() - start < 2  # the exact power takes tens of seconds
+    # an odd power of a negative base is negative, however large
+    for density in ("-1^-99999", "-2^-99999999", "-3^99999999", "7^99999999"):
+        assert sizes(8, density) == "refused"
+    assert sizes(8, "-2^-99999998") == [1]
+
+    # every size and refusal matches the exact power
+    def exact(N, base, expo):
+        try:
+            c = Fraction(base) ** expo
+        except ZeroDivisionError:
+            return "refused"
+        return [max(1, round(c * N))] if 0 < c <= 1 else "refused"
+
+    for N in (1, 2, 3, 7, 8, 100, 1000):
+        for base in (-10, -3, -2, -1, 0, 1, 2, 3, 10):
+            for expo in range(-50, 51):
+                assert sizes(N, f"{base}^{expo}") == exact(N, base, expo), (
+                    N, base, expo)
 
 
 def test_tradeoff_with_family_file(tmp_path, capsys):

@@ -17,13 +17,11 @@ from radioleader.dense import (
     census_phase_len,
     choose_dense_b,
     dense_improved_election,
-    dense_improved_phase_len,
     dense_simple_election,
-    dense_simple_phase_len,
     exponential_plan,
     exponential_search_election,
 )
-from radioleader.protocols_core import ceil_div, ceil_log2
+from radioleader.protocols_core import ceil_div, ceil_log2, pairing_level_len
 from radioleader.runtime import (
     DeviceProgram,
     ProtocolConfig,
@@ -256,21 +254,25 @@ def test_rank_values_are_an_initial_segment():
         assert len(ranks) >= m - ceil_div(N, b)
 
 
+def _walk_rounds(program, N, b):
+    return program.schedule_length(ProtocolConfig(model=NO, N=N, b=b)) - 1
+
+
 def test_dense_round_formulas():
     for N, b in ((16, 4), (32, 8), (64, 2), (100, 10)):
         nblocks = ceil_div(N, b)
-        assert dense_simple_phase_len(N, b) == 2 * N + nblocks
-        assert dense_improved_phase_len(N, b) == 3 * N + nblocks
+        assert _walk_rounds(DenseSimpleProgram, N, b) == 2 * N + nblocks
+        assert _walk_rounds(DenseImprovedProgram, N, b) == 3 * N + nblocks
         full = list(range(1, N + 1))
         assert dense_simple_election(full, N=N, b=b).rounds == 2 * N + nblocks + 1
         assert dense_improved_election(full, N=N, b=b).rounds == 3 * N + nblocks + 1
     # width-1 tail blocks spend 3 rounds, not 4
-    assert dense_improved_phase_len(5, 2) <= 3 * 5 + 3
+    assert _walk_rounds(DenseImprovedProgram, 5, 2) <= 3 * 5 + 3
     # uneven id spaces: width-1 and partial tail blocks
     for N, b in ((5, 2), (9, 4), (33, 7), (100, 16), (9, 9)):
         widths = [min(N, lo + b - 1) - lo + 1 for lo in range(1, N + 1, b)]
-        simple_len = dense_simple_phase_len(N, b)
-        improved_len = dense_improved_phase_len(N, b)
+        simple_len = _walk_rounds(DenseSimpleProgram, N, b)
+        improved_len = _walk_rounds(DenseImprovedProgram, N, b)
         assert simple_len == sum(2 * w + 1 for w in widths)
         assert improved_len == sum(census_phase_len(w) + w + 2 for w in widths)
         full = list(range(1, N + 1))
@@ -339,6 +341,29 @@ def test_exponential_plan_shape():
 
     strong_attempts, _ = exponential_plan(16, ST)
     assert strong_attempts[0].b == 16  # sender-side widths grow much faster
+
+
+def test_exponential_plan_matches_the_walk_it_schedules():
+    # each attempt's stored slots are the improved walk's declared length
+    # and one knockout level; the attempts tile the rounds from 0
+    for model in (ST, SE, RC, NO):
+        for N in [*range(1, 301), 1 << 16, 1 << 20]:
+            attempts, final_slot = exponential_plan(N, model)
+            end = 0
+            for att in attempts:
+                assert att.base == end
+                walk = DenseImprovedProgram.schedule_length(
+                    ProtocolConfig(model=model, N=att.space, b=att.b)
+                )
+                assert att.test_slot == att.base + walk - 1
+                assert att.end == att.test_slot + 1 + pairing_level_len(att.space)
+                end = att.end
+            assert final_slot == end
+            assert ExponentialSearchProgram.schedule_length(
+                ProtocolConfig(model=model, N=N)
+            ) == end + 1
+            if N == 1:
+                assert attempts == () and end == 0
 
 
 def test_exponential_singleton():

@@ -28,6 +28,7 @@ import functools
 import json
 import os
 import random
+import re
 import shutil
 import stat
 import sys
@@ -173,11 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def _parse_density(text: str, N: int) -> List[Fraction]:
     # base^expo with |base| >= 2 and |expo| > cap is above 1 or negative
     # (refused), or at most 1/(2N): a one-device set, like base^-cap (cap
     # is even, so that is positive).  Taking such a power exactly could
-    # run for minutes
+    # run for minutes.  So could a decimal m·10^expo: its mantissa m has
+    # fewer than len(piece) digits on either side of the point, so past
+    # |expo| > cap + len(piece) it is outside (0, 1] or below 10^-cap
     cap = 2 * N.bit_length() + 2
     out = []
     for piece in text.split(","):
@@ -194,7 +200,16 @@ def _parse_density(text: str, N: int) -> List[Fraction]:
                     expo = -cap
                 out.append(Fraction(base) ** expo)
             else:
-                out.append(Fraction(piece))
+                decimal = _EXPONENT.search(piece)
+                expo = int(decimal[1]) if decimal and "/" not in piece else 0
+                limit = cap + len(piece)
+                if abs(expo) > limit:
+                    c = Fraction(piece[:decimal.start()])
+                    if c <= 0 or expo > 0:
+                        raise ValueError(f"density {piece} outside (0, 1]")
+                    out.append(c / 10 ** limit)
+                else:
+                    out.append(Fraction(piece))
         except ZeroDivisionError:
             raise ValueError(f"density {piece} divides by zero") from None
     if not out:
@@ -440,8 +455,30 @@ def _table(header: str, records: Iterable[Record]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for dicts and lists of
+    strings, without the stdlib's pure-Python indenting encoder: its
+    nested functions form reference cycles that outlive every call."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_quote(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
+        open_, close = "{", "}"
+    else:
+        items = [inner + _json_text(item, inner) for item in value]
+        open_, close = "[", "]"
+    if not items:
+        return open_ + close
+    return f"{open_}\n" + ",\n".join(items) + f"\n{indent}{close}"
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload) + "\n"
 
 
 def _make_dirs(path: str) -> List[str]:

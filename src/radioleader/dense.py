@@ -45,12 +45,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import List, Tuple
 
 from .channel import LISTEN, CdModel, transmit
 from .protocols_core import ceil_div, pairing_level_len, pairing_level_phase
 from .runtime import (
+    TRANSMIT,
     DeviceProgram,
     ProtocolConfig,
     RunReport,
@@ -420,25 +420,23 @@ class AttemptSummary:
     energy_max: int
 
 
-_event_round = itemgetter(0)
-_event_device = itemgetter(1)
-
-
 def _attempt_summaries(report: RunReport) -> Tuple[AttemptSummary, ...]:
     """Per-attempt success, rounds and energy peak.  Events come in round
     order and attempts tile the rounds from 0, so each attempt's events are
-    one slice of the transcript, found by bisecting the round column; the
-    events past the last attempt are the final self-election slot."""
+    one slice of the transcript's columns, found by bisecting its round
+    column; the events past the last attempt are the final self-election
+    slot."""
     attempts, _ = exponential_plan(report.N, report.model)
-    events = report.transcript.events
+    t = report.transcript
+    rounds, codes = t.event_rounds, t.event_codes
     out = []
     lo = 0
     for att in attempts:
-        hi = bisect_left(events, att.end, lo, key=_event_round)
-        counts = Counter(map(_event_device, events[lo:hi]))
-        t_lo = bisect_left(events, att.test_slot, lo, hi, key=_event_round)
-        t_hi = bisect_right(events, att.test_slot, t_lo, hi, key=_event_round)
-        success = any(e[2].kind == "transmit" for e in events[t_lo:t_hi])
+        hi = bisect_left(rounds, att.end, lo)
+        counts = Counter(t.event_devices[lo:hi])
+        t_lo = bisect_left(rounds, att.test_slot, lo, hi)
+        t_hi = bisect_right(rounds, att.test_slot, t_lo, hi)
+        success = any(code & TRANSMIT for code in codes[t_lo:t_hi])
         out.append(AttemptSummary(
             index=att.index,
             space=att.space,

@@ -19,6 +19,26 @@ once, hands each participant its feedback, and records the non-idle
 implicit: they carry no information (feedback is always 'none') and at desk
 scale writing them out would dwarf everything else.
 
+A transcript stores its events as columns, not as one tuple per event.
+Event i has its round in `event_rounds` (an `array('q')`, or a list when
+the schedule passes 2^63 rounds), its device as a position in the sorted
+`device_ids` in `event_devices` (an `array('i')`), and one byte in
+`event_codes`: bit 2 tells a transmit from a listen, and bits 0-1 give
+the feedback kind (none, silence, collision, received).  Only an event
+whose code carries a payload, a transmit or a listen that received,
+appends one to `event_payloads`; a transmitter that received hears its
+own payload, so one entry serves both.  No Action or Feedback object is
+kept, and no listen may offer a payload, so the codes lose nothing.
+`Transcript.events` is a read-only view that rebuilds equal
+(round, device, Action, Feedback) tuples when read; the energy tally,
+`serialize`, the hash, the replay check and exponential search's attempt
+summaries read the columns.  At N = 2^14 with every id present a
+transcript keeps 24, 21 and 37 bytes per event for pairing, binary search
+and exponential search, where a list of event tuples kept 112, 85 and 148
+(tracemalloc).  Recording takes three or four appends per event instead
+of one tuple: `array.append` costs about 80 ns and `list.append` 28
+(timeit, Python 3.11, shared 2-vCPU x86-64 VM).
+
 The schedule holds one bucket of offers per occupied round and one heap
 entry per such round, so a slot costs one heap operation however many
 devices share it.  Most slots of a sparse run hold one offer, though, and
@@ -51,7 +71,7 @@ before the run starts.
 The cyclic garbage collector is paused by one context manager,
 `collector_paused`, around a run and around a whole CLI sweep (every run
 of the sweep and the bulk hash of its transcripts).  A run allocates
-hundreds of thousands of containers (event tuples, actions, feedback,
+hundreds of thousands of containers (offer tuples, actions, feedback,
 generator frames) that form no cycles, and a sweep keeps every report
 alive until it hashes them; the generational collector would traverse all
 of them again each time the surviving objects grow by a quarter, so the
@@ -73,12 +93,14 @@ program's outcome fields (won, rank, leader_id) are class-level defaults
 that a device shadows only once it sets them.
 
 Energy is the number of non-idle slots per device; idling is free.  It is
-tallied once the run ends, by counting the device column of the events.
+tallied once the run ends, by one `np.bincount` of the device column.
 
 The transcript hash is a 64-bit FNV-1a fold, absorbed in this exact order:
 the header line ``model N rounds id1,id2,...`` followed by the serialized
 event lines (exactly the text of `Transcript.serialize`), every line
-terminated by a newline.  Two runs agree on the hash iff they agree on the
+terminated by a newline.  The lines are formatted from the columns, and a
+payload's text is made once for each run of events that carry the same
+payload object, so a slot's listeners share the text of what they heard.  Two runs agree on the hash iff they agree on the
 header and the full event sequence.  A run does not hash its transcript:
 `RunReport.transcript_hash` is computed on first read, and
 `transcript_hashes` hashes many transcripts in one pass.
@@ -103,22 +125,27 @@ back.
 from __future__ import annotations
 
 import gc
-from collections import Counter
+from array import array
+from collections import abc
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index, itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from operator import index
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import (
+    COLLISION,
     LISTEN,
+    NO_FEEDBACK,
+    SILENCE,
     Action,
     CdModel,
     Feedback,
     Payload,
+    received,
     resolve_slot,
     transmit,
 )
@@ -212,7 +239,13 @@ class DeviceProgram:
 
 Event = Tuple[int, int, Action, Feedback]
 
-_event_device = itemgetter(1)
+# An event's code: bit 2 is its action (0 listen, 4 transmit), bits 0-1 the
+# kind of feedback it got.  Codes 3 (a listen that received) and up carry
+# a payload.
+_FEEDBACK_CODE = {"none": 0, "silence": 1, "collision": 2, "received": 3}
+TRANSMIT = 4
+_RECEIVED = _FEEDBACK_CODE["received"]
+_BARE_FEEDBACK = (NO_FEEDBACK, SILENCE, COLLISION)
 
 
 def _payload_text(payload: Optional[Payload]) -> str:
@@ -223,26 +256,39 @@ def _payload_text(payload: Optional[Payload]) -> str:
     return str(payload)
 
 
-def _feedback_text(fb: Feedback) -> str:
-    if fb.kind == "none":
-        return "-"
-    if fb.kind == "silence":
-        return "S"
-    if fb.kind == "collision":
-        return "C"
-    return "R:" + _payload_text(fb.payload)
+# the text after the device id of a listen's line, for the codes below 3
+_BARE_LINE_END = ("\tL\t-\t-\n", "\tL\t-\tS\n", "\tL\t-\tC\n")
+_FEEDBACK_TEXT = ("-", "S", "C")
 
 
-_ACTION_TAG = {"idle": "I", "listen": "L", "transmit": "T"}
-
-
-def _event_lines(events: List[Event]) -> str:
-    """The event lines of `Transcript.serialize`, each ending in a newline."""
-    return "".join([
-        f"{rnd}\t{dev}\t{_ACTION_TAG[action.kind]}\t"
-        f"{_payload_text(action.payload)}\t{_feedback_text(fb)}\n"
-        for rnd, dev, action, fb in events
-    ])
+def _event_batches(t: "Transcript") -> Iterator[str]:
+    """The event lines of `Transcript.serialize`, each ending in a newline,
+    _BATCH events to a string.  A payload's text is made once for a run of
+    events that carry the same payload object, such as a slot's listeners."""
+    ids, rounds, devices = t.device_ids, t.event_rounds, t.event_devices
+    codes, payloads = t.event_codes, t.event_payloads
+    k = 0  # payloads[k] is the next event's payload
+    payload, text = object(), ""  # the last payload formatted, and its text
+    for start in range(0, len(codes), _BATCH):
+        stop = start + _BATCH
+        lines = []
+        add = lines.append
+        for rnd, pos, code in zip(rounds[start:stop], devices[start:stop],
+                                  codes[start:stop]):
+            if code < _RECEIVED:
+                add(f"{rnd}\t{ids[pos]}{_BARE_LINE_END[code]}")
+                continue
+            p = payloads[k]
+            k += 1
+            if p is not payload:
+                payload, text = p, _payload_text(p)
+            if code == _RECEIVED:
+                add(f"{rnd}\t{ids[pos]}\tL\t-\tR:{text}\n")
+            elif code == TRANSMIT | _RECEIVED:
+                add(f"{rnd}\t{ids[pos]}\tT\t{text}\tR:{text}\n")
+            else:
+                add(f"{rnd}\t{ids[pos]}\tT\t{text}\t{_FEEDBACK_TEXT[code & 3]}\n")
+        yield "".join(lines)
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -327,15 +373,16 @@ def _fnv1a_streams(streams: Iterable[Iterable[bytes]]) -> List[int]:
 def _hashed_pieces(t: "Transcript") -> Iterable[bytes]:
     """The bytes `Transcript.hash64` absorbs, _BATCH ids or events at a
     time: the header line, then the event lines of `serialize`."""
-    ids, events = t.device_ids, t.events
+    ids = t.device_ids
     text = f"{t.model.value} {t.N} {t.rounds} " + ",".join(map(str, ids[:_BATCH]))
     for start in range(_BATCH, len(ids), _BATCH):
         yield text.encode("ascii")
         text = "," + ",".join(map(str, ids[start:start + _BATCH]))
-    text += "\n" + _event_lines(events[:_BATCH])
-    for start in range(_BATCH, len(events), _BATCH):
+    batches = _event_batches(t)
+    text += "\n" + next(batches, "")
+    for lines in batches:
         yield text.encode("ascii")
-        text = _event_lines(events[start:start + _BATCH])
+        text = lines
     yield text.encode("ascii")
 
 
@@ -346,22 +393,84 @@ def transcript_hashes(transcripts: Iterable["Transcript"]) -> List[int]:
 
 @dataclass
 class Transcript:
-    """Ordered non-idle events of one run plus the static frame around them."""
+    """Ordered non-idle events of one run plus the static frame around them.
+
+    Event i is stored across four columns (module docstring): its round
+    event_rounds[i], its device device_ids[event_devices[i]], its code
+    event_codes[i], and, when the code carries one, the next payload of
+    event_payloads."""
 
     model: CdModel
     N: int
     rounds: int
     device_ids: Tuple[int, ...]
-    events: List[Event] = field(default_factory=list)
+    # an array('q'), or a list where rounds may pass 2^63 - 1
+    event_rounds: Sequence[int] = field(default_factory=lambda: array("q"))
+    event_devices: array = field(default_factory=lambda: array("i"))
+    event_codes: bytearray = field(default_factory=bytearray)
+    event_payloads: List[Optional[Payload]] = field(default_factory=list)
+
+    @property
+    def events(self) -> "Events":
+        """The events as (round, device, Action, Feedback) tuples."""
+        return Events(self)
 
     def serialize(self) -> str:
         """One line per non-idle (round, device) event, tab-separated:
         round, id, action tag (L/T), payload, feedback.  Idle pairs are
         implicit and carry payload '-' / feedback '-'."""
-        return _event_lines(self.events)
+        return "".join(_event_batches(self))
 
     def hash64(self) -> int:
         return transcript_hashes([self])[0]
+
+
+class Events(abc.Sequence):
+    """Read-only view of a transcript's events: each is decoded from the
+    columns into a (round, device, Action, Feedback) tuple when read.  The
+    tuples equal the recorded ones; the Action and Feedback objects are
+    rebuilt, or the shared constants."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, transcript: Transcript):
+        self._t = transcript
+
+    def __len__(self) -> int:
+        return len(self._t.event_codes)
+
+    def __iter__(self) -> Iterator[Event]:
+        return self._decoded(0)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = range(len(self))[i]  # IndexError past either end
+        return next(self._decoded(i))
+
+    def __eq__(self, other):
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Events({list(self)!r})"
+
+    def _decoded(self, start: int) -> Iterator[Event]:
+        t = self._t
+        ids, rounds, devices = t.device_ids, t.event_rounds, t.event_devices
+        codes, payloads = t.event_codes, t.event_payloads
+        # the payloads before event `start` belong to the codes that carry one
+        k = start - sum(codes.count(code, 0, start) for code in range(_RECEIVED))
+        for i in range(start, len(codes)):
+            code = codes[i]
+            p = None
+            if code >= _RECEIVED:
+                p = payloads[k]
+                k += 1
+            action = transmit(p) if code & TRANSMIT else LISTEN
+            fb = received(p) if code & 3 == _RECEIVED else _BARE_FEEDBACK[code & 3]
+            yield rounds[i], ids[devices[i]], action, fb
 
 
 @dataclass(frozen=True)
@@ -457,33 +566,52 @@ def run_programs(
 
     model = config.model
     total_rounds = factory.schedule_length(config)
+    device_ids = tuple(ids)
+    # a slot's offers are (position in device_ids, action) pairs
     slots: Dict[int, List[Tuple[int, Action]]] = {}
     rounds: List[int] = []
-    events: List[Event] = []
+    transcript = Transcript(
+        model=model, N=config.N, rounds=total_rounds, device_ids=device_ids,
+        event_rounds=array("q") if total_rounds <= 1 << 63 else [],
+    )
     easy = False
 
     with collector_paused():
-        programs = {dev: factory(dev, config) for dev in ids}
-        sends = {dev: prog.run().send for dev, prog in programs.items()}
+        programs = [factory(dev, config) for dev in ids]
+        sends = [prog.run().send for prog in programs]
         # Round -1 starts every program: sending None is the first next().
         rnd = -1
-        bucket = [(dev, None) for dev in ids]
+        bucket = [(pos, None) for pos in range(len(ids))]
         listener = transmitter = None
-        record = events.append
+        listen_code = transmit_code = 0
+        add_round = transcript.event_rounds.append
+        add_device = transcript.event_devices.append
+        add_code = transcript.event_codes.append
+        add_payload = transcript.event_payloads.append
         while True:
             # the held-back offer, if any, is for round `first`, and no
             # other offer is; otherwise `first` is the earliest scheduled
             # round (module docstring)
             held = None
             first = rounds[0] if rounds else total_rounds
-            for dev, action in bucket:
+            for pos, action in bucket:
                 if action is None:
                     fb = None
+                elif action.kind == "listen":
+                    fb = listener
+                    add_round(rnd)
+                    add_device(pos)
+                    add_code(listen_code)
+                    if listen_code == _RECEIVED:
+                        add_payload(fb.payload)
                 else:
-                    fb = listener if action.kind == "listen" else transmitter
-                    record((rnd, dev, action, fb))
+                    fb = transmitter
+                    add_round(rnd)
+                    add_device(pos)
+                    add_code(transmit_code)
+                    add_payload(action.payload)
                 try:
-                    item = sends[dev](fb)
+                    item = sends[pos](fb)
                 except StopIteration:
                     continue
                 if (
@@ -493,24 +621,30 @@ def run_programs(
                     or type(item[1]) is not Action
                 ):
                     raise ScheduleOverrun(
-                        f"device {dev} yielded malformed slot {item!r}"
+                        f"device {ids[pos]} yielded malformed slot {item!r}"
                     )
                 nxt, offer = item
-                if offer.kind not in ("listen", "transmit"):
-                    raise ScheduleOverrun(
-                        f"device {dev} yielded action kind {offer.kind!r}; "
-                        "only 'listen' and 'transmit' may be offered"
-                    )
+                if offer is not LISTEN and offer.kind != "transmit":
+                    if offer.kind != "listen":
+                        raise ScheduleOverrun(
+                            f"device {ids[pos]} yielded action kind {offer.kind!r}; "
+                            "only 'listen' and 'transmit' may be offered"
+                        )
+                    if offer.payload is not None:
+                        raise ScheduleOverrun(
+                            f"device {ids[pos]} yielded a listen with payload "
+                            f"{offer.payload!r}; only a transmit carries one"
+                        )
                 if nxt <= rnd or nxt >= total_rounds:
                     raise ScheduleOverrun(
-                        f"device {dev} requested round {nxt} outside its "
+                        f"device {ids[pos]} requested round {nxt} outside its "
                         f"schedule (previous {rnd}, length {total_rounds})"
                     )
                 if nxt < first:
                     if held is not None:
                         slots[first] = [held]
                         heappush(rounds, first)
-                    held = (dev, offer)
+                    held = (pos, offer)
                     first = nxt
                     continue
                 if nxt == first and held is not None:
@@ -519,10 +653,10 @@ def run_programs(
                     held = None
                 offers = slots.get(nxt)
                 if offers is None:
-                    slots[nxt] = [(dev, offer)]
+                    slots[nxt] = [(pos, offer)]
                     heappush(rounds, nxt)
                 else:
-                    offers.append((dev, offer))
+                    offers.append((pos, offer))
             if held is not None:
                 rnd = first
                 bucket = [held]
@@ -538,22 +672,18 @@ def run_programs(
             # several offers always has a listener
             if c == 1 and len(bucket) > 1:
                 easy = True
+            if listener is not None:
+                listen_code = _FEEDBACK_CODE[listener.kind]
+            transmit_code = TRANSMIT | _FEEDBACK_CODE[transmitter.kind]
 
-        transcript = Transcript(
-            model=config.model,
-            N=config.N,
-            rounds=total_rounds,
-            device_ids=tuple(ids),
-            events=events,
-        )
-        verdicts = {dev: programs[dev].finish() for dev in ids}
-        counts = dict.fromkeys(ids, 0)
-        counts.update(Counter(map(_event_device, events)))
-        ledger = EnergyLedger(counts=counts)
+        verdicts = {dev: prog.finish() for dev, prog in zip(ids, programs)}
+        energy = np.bincount(np.frombuffer(transcript.event_devices, np.intc),
+                             minlength=len(ids))
+        ledger = EnergyLedger(counts=dict(zip(ids, energy.tolist())))
         report = RunReport(
-            model=config.model,
+            model=model,
             N=config.N,
-            device_ids=tuple(ids),
+            device_ids=device_ids,
             verdicts=verdicts,
             ledger=ledger,
             strict_success=check_strict_success(verdicts),
@@ -561,7 +691,7 @@ def run_programs(
             rounds=total_rounds,
             transcript=transcript,
         )
-    return report, programs
+    return report, dict(zip(ids, programs))
 
 
 def execute(

@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from radioleader.cli import (
     CHECK_HEADER,
     CSV_HEADER,
     PROGRAMS,
+    _parse_density,
     build_parser,
     generate_subsets,
     main,
@@ -326,6 +328,15 @@ def test_huge_density_exponents_stay_cheap_and_exact():
     for density in ("-1^-99999", "-2^-99999999", "-3^99999999", "7^99999999"):
         assert sizes(8, density) == "refused"
     assert sizes(8, "-2^-99999998") == [1]
+    # a decimal exponent is capped the same way
+    start = time.perf_counter()
+    assert sizes(8, "1e-40000000") == [1]
+    assert time.perf_counter() - start < 2  # the exact decimal takes 93 s
+    for density in ("1e400000", "-1e-40000000"):
+        with pytest.raises(ValueError, match=re.escape(f"density {density} outside (0, 1]")):
+            _parse_density(density, 8)
+    for density in ("0.5", ".25", "2.5e-1", "1E-2", "125e-3", "1/2"):
+        assert _parse_density(density, 8) == [Fraction(density)], density
 
     # every size and refusal matches the exact power
     def exact(N, base, expo):
@@ -716,10 +727,26 @@ def test_repeated_calls_leave_no_cyclic_garbage(tmp_path):
     # cycle that only a full collection would find
     argv = ["--protocol", "pairing", "--N", "8", "--n", "2", "--trials", "2",
             "--out", str(tmp_path / "runs.csv")]
-    assert main(argv) == 0
-    gc.collect()
-    assert main(argv) == 0
-    assert gc.collect() == 0
+    for extra in ([], ["--json-out", str(tmp_path / "runs.json")]):
+        assert main(argv + extra) == 0
+        gc.collect()
+        assert main(argv + extra) == 0
+        assert gc.collect() == 0, extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "exponential", "--N", "6", "--subsets", "all"],
+    ["--protocol", "pairing", "--N", "8", "--checks"],
+])
+def test_json_out_matches_the_stdlib_encoder(tmp_path, argv):
+    path = tmp_path / "out.json"
+    assert main(argv + ["--out", str(tmp_path / "out.csv"),
+                        "--json-out", str(path)]) == 0
+    text = path.read_text()
+    payload = json.loads(text)
+    assert payload  # runs and aggregates, or the checker rows
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert cli._json([]) == "[]\n" and cli._json({"a": {}}) == '{\n  "a": {}\n}\n'
 
 
 @pytest.mark.parametrize("fail_at", [None, 5])

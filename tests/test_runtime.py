@@ -56,7 +56,6 @@ from radioleader.runtime import (
     check_strict_success,
     _BATCH,
     _CHUNK,
-    _event_lines,
     _fnv1a_streams,
     execute,
     run_programs,
@@ -69,6 +68,7 @@ from radioleader.tradeoff import (
 )
 
 from test_channel import resolve_by_device
+from test_dense import reference_attempt_summaries
 from test_protocols_core import pairing_reduce_once
 
 NO = CdModel.NO_CD
@@ -137,6 +137,8 @@ BAD_OFFERS = {
     "idle": (lambda prev: (prev + 1, IDLE), "yielded action kind 'idle'"),
     "typo": (lambda prev: (prev + 1, Action("tranmsit", 3)),
              "yielded action kind 'tranmsit'"),
+    "listen with payload": (lambda prev: (prev + 1, Action("listen", 3)),
+                            "yielded a listen with payload 3"),
     "not after previous": (lambda prev: (prev, LISTEN),
                            r"requested round {prev} outside its schedule "
                            r"\(previous {prev}, length 4\)"),
@@ -580,8 +582,10 @@ def _resume(gen, feedback):
 
 
 def reference_schedule(factory, ids, config):
-    """Step every device once per round, in ascending device order."""
-    gens = {dev: factory(dev, config).run() for dev in sorted(ids)}
+    """Step every device once per round, in ascending device order; returns
+    the events, the energy counts, easy success and each device's verdict."""
+    programs = {dev: factory(dev, config) for dev in sorted(ids)}
+    gens = {dev: prog.run() for dev, prog in programs.items()}
     offers = {dev: _resume(gen, None) for dev, gen in gens.items()}
     events, counts, easy = [], dict.fromkeys(gens, 0), False
     for rnd in range(factory.schedule_length(config)):
@@ -595,7 +599,8 @@ def reference_schedule(factory, ids, config):
             events.append((rnd, dev, action, feedback[dev]))
             counts[dev] += 1
             offers[dev] = _resume(gens[dev], feedback[dev])
-    return events, counts, easy
+    verdicts = {dev: prog.finish() for dev, prog in programs.items()}
+    return events, counts, easy, verdicts
 
 
 SCRIPT_ROUNDS = 12
@@ -638,10 +643,11 @@ def test_scheduler_matches_reference_order(plan, model):
     prog = make_script(script, length=SCRIPT_ROUNDS)
     config = cfg(8, model)
     report, _ = run_programs(prog, plan, config)
-    events, counts, easy = reference_schedule(prog, plan, config)
+    events, counts, easy, verdicts = reference_schedule(prog, plan, config)
     assert report.transcript.events == events
     assert report.ledger.counts == counts
     assert report.easy_success == easy
+    assert report.verdicts == verdicts
 
 
 # --- golden transcripts -----------------------------------------------------
@@ -811,7 +817,7 @@ def test_transcript_hash_matches_reference_loop():
         t = report.transcript
         ids = ",".join(str(i) for i in t.device_ids)
         data = (f"{t.model.value} {t.N} {t.rounds} {ids}\n"
-                + _event_lines(t.events)).encode("ascii")
+                + t.serialize()).encode("ascii")
         assert report.transcript_hash == fnv1a_reference(data)
         longest = max(longest, len(data))
     assert longest > _CHUNK
@@ -829,8 +835,26 @@ def _synthetic_transcript(count):
             action = LISTEN
         fb = received(i) if i % 4 == 0 else feedback[i % 3]
         events.append((i, 1 + i % 7, action, fb))
-    return Transcript(model=NO, N=7, rounds=max(count, 1),
-                      device_ids=tuple(range(1, 8)), events=events)
+    return transcript_of(events, model=NO, N=7, rounds=max(count, 1),
+                         device_ids=tuple(range(1, 8)))
+
+
+def transcript_of(events, **frame):
+    """A Transcript with the frame `frame` holding `events`, encoded into
+    its columns the way the executor records them."""
+    t = Transcript(**frame)
+    for rnd, dev, action, fb in events:
+        code = runtime._FEEDBACK_CODE[fb.kind]
+        if action.kind == "transmit":
+            code |= runtime.TRANSMIT
+            t.event_payloads.append(action.payload)
+        elif fb.kind == "received":
+            t.event_payloads.append(fb.payload)
+        t.event_rounds.append(rnd)
+        t.event_devices.append(t.device_ids.index(dev))
+        t.event_codes.append(code)
+    assert t.events == events
+    return t
 
 
 def _hashed_text(t):
@@ -918,6 +942,108 @@ def test_hashing_streams_the_transcript():
     assert peak < 2_000_000, peak
 
 
+def reference_lines(events):
+    """The text of `Transcript.serialize`, each event formatted on its own."""
+    def text(payload):
+        if payload is None:
+            return "-"
+        return ",".join(map(str, payload)) if isinstance(payload, tuple) else str(payload)
+
+    tags = {"listen": "L", "transmit": "T",
+            "none": "-", "silence": "S", "collision": "C"}
+    return "".join(
+        f"{rnd}\t{dev}\t{tags[action.kind]}\t{text(action.payload)}\t"
+        + (f"R:{text(fb.payload)}" if fb.kind == "received" else tags[fb.kind])
+        + "\n"
+        for rnd, dev, action, fb in events)
+
+
+def test_each_slot_formats_its_payload_once(monkeypatch):
+    # one id per block of 16 makes exponential search's second attempt a
+    # census of the whole space: every listener of a champion's slot
+    # receives its member list, one payload object shared by the slot
+    N = 1 << 12
+    report = exponential_search_election(range(1, N + 1, 16), N, CdModel.SENDER_CD)
+    t = report.transcript
+    formatted = []
+    payload_text = runtime._payload_text
+    monkeypatch.setattr(runtime, "_payload_text",
+                        lambda p: formatted.append(p) or payload_text(p))
+    assert t.serialize() == reference_lines(t.events)
+    carried = [(rnd, action.payload if action.kind == "transmit" else fb.payload)
+               for rnd, _, action, fb in t.events
+               if action.kind == "transmit" or fb.kind == "received"]
+    # a payload is formatted once for each run of events that carry the
+    # same object: at most once per slot, however many listeners it has
+    assert formatted == [p for i, (_, p) in enumerate(carried)
+                         if i == 0 or p is not carried[i - 1][1]]
+    assert len(formatted) <= len({(rnd, id(p)) for rnd, p in carried})
+    assert len(carried) == 4861 and len(formatted) == 2304
+
+
+# (driver call, bytes per event) for every id of N = 2^14 present
+TRANSCRIPT_BYTES = {
+    "pairing no_cd": (partial(pairing_election, range(1, 2**14 + 1), 2**14), 40),
+    "binary_search receiver_cd": (partial(binary_search_election, range(1, 2**14 + 1),
+                                          2**14, CdModel.RECEIVER_CD), 40),
+    "exponential no_cd": (partial(exponential_search_election, range(1, 2**14 + 1),
+                                  2**14, CdModel.NO_CD), 55),
+}
+
+
+@pytest.mark.parametrize("name", TRANSCRIPT_BYTES)
+def test_transcript_bytes_per_event(name):
+    # what a held report keeps for its transcript: the four columns and
+    # the payload objects that only the transcript still refers to
+    run, bound = TRANSCRIPT_BYTES[name]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run()
+        events = len(report.transcript.events)
+        held = tracemalloc.get_traced_memory()[0]
+        report.transcript = None
+        without = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert events > 40_000
+    assert (held - without) / events <= bound, (held - without) / events
+
+
+def test_events_view_reads_like_a_list():
+    prog = make_script(
+        {
+            1: [(0, Action("transmit", 7)), (2, Action("listen"))],
+            2: [(0, Action("listen")), (2, Action("transmit", (3, 4)))],
+            3: [(1, Action("transmit", 5)), (2, Action("transmit", 6))],
+        },
+        length=3,
+    )
+    t = execute(prog, [1, 2, 3], cfg(4, model=CdModel.STRONG_CD)).transcript
+    events = list(t.events)
+    assert len(t.events) == len(events) == 6
+    assert [t.events[i] for i in range(-6, 6)] == events + events
+    assert t.events[1:5] == events[1:5] and t.events[::-2] == events[::-2]
+    assert t.events == events and events == t.events and t.events == t.events
+    assert t.events != events[:-1] and t.events != 5
+    assert events[3] == (2, 1, Action("listen"), Feedback("collision"))
+    assert events[5] == (2, 3, transmit(6), Feedback("collision"))
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            t.events[i]
+
+
+def test_rounds_past_the_int64_range_are_recorded():
+    # exponential search's schedule at N = 2^70 runs past 2^63 rounds
+    N = 1 << 70
+    report = exponential_search_election([1, N], N, CdModel.NO_CD)
+    t = report.transcript
+    assert report.strict_success and t.rounds > 1 << 63
+    assert t.events[-1][0] > 1 << 63
+    assert t.serialize() == reference_lines(t.events)
+    assert report.attempts == reference_attempt_summaries(report)
+
+
 @st.composite
 def _drawn_runs(draw):
     """(program class, device ids, config): any protocol in any model it
@@ -948,3 +1074,17 @@ def test_executor_shortcuts_match_transcript_checks(run):
     report = execute(cls, ids, config)
     assert report.easy_success == check_easy_success(report.transcript)
     assert report.ledger.counts == recount(report.transcript)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_drawn_runs())
+def test_every_protocol_matches_the_reference_engine(run):
+    # the real programs, in every model they declare, through the
+    # round-by-round engine: same events, energy, easy success and verdicts
+    cls, ids, config = run
+    report = execute(cls, ids, config)
+    events, counts, easy, verdicts = reference_schedule(cls, ids, config)
+    assert report.transcript.events == events
+    assert report.ledger.counts == counts
+    assert report.easy_success == easy
+    assert report.verdicts == verdicts

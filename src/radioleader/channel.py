@@ -1,9 +1,9 @@
 """Single-slot semantics of a shared radio channel.
 
 All devices share one channel and proceed in synchronized time slots.  In a
-slot a device either transmits a message, listens, or stays idle.  What a
-device learns from the slot depends on how many devices transmitted and on
-the collision-detection capabilities of the model:
+slot a device either transmits a message, listens, or stays idle (it offers
+no Action).  What a device learns from the slot depends on how many devices
+transmitted and on the collision-detection capabilities of the model:
 
 * strong_cd    - transmitters and listeners both get three-way feedback
                  (silence / collision / the message).
@@ -22,11 +22,10 @@ payload seen.  It returns a plain triple: what every listener hears, what
 every transmitter hears, and the number of transmitters.  The feedbacks
 are the module's SILENCE, COLLISION and NO_FEEDBACK, or one
 `received(payload)` shared by the whole slot.  There is no per-device map
-in or out; a caller hands each device the feedback of its action's kind,
-and an idle device NO_FEEDBACK.  Both are always a Feedback, except for a
-lone transmitter that is the slot's only offer under receiver_cd or no_cd:
-nobody can hear it, so the listener feedback is None instead of a
-`received` copy.  87,626 of the 213,090 slots of the benchmark's sparse
+in or out; a caller hands each device the feedback of its action's kind.
+Both are always a Feedback, except for a lone transmitter that is the
+slot's only offer under receiver_cd or no_cd: nobody can hear it, so the
+listener feedback is None instead of a `received` copy.  87,626 of the 213,090 slots of the benchmark's sparse
 exponential-search workload (seed 1) are such slots, and building the copy
 anyway made those runs about 3% slower.  The model is matched by identity
 against module constants, not through the `sender_side` / `receiver_side`
@@ -34,13 +33,16 @@ properties, which cost a method call each.  The runtime calls it once per
 occupied slot.
 
 Action and Feedback are frozen slotted dataclasses, so equality, hash,
-repr and FrozenInstanceError come from the dataclass.  Their generated
+repr and FrozenInstanceError come from the dataclass.  An Action checks
+itself when built: its kind is 'listen' or 'transmit', and a listen
+carries no payload; anything else raises ValueError.  Their generated
 __init__ sets each field through object.__setattr__, though, so
 `transmit` and `received`, which build one object per transmission and
 per delivery, use object.__new__ plus the slot descriptors' __set__
 instead: 370-410 ns a call against 590-780 ns through __init__ (timeit,
-Python 3.11, shared 2-vCPU x86-64 VM).  Objects that never vary are
-built once and shared: IDLE, LISTEN, NO_FEEDBACK, SILENCE, COLLISION,
+Python 3.11, shared 2-vCPU x86-64 VM).  That skips the check too, and
+`transmit` only ever builds a valid action.  Objects that never vary are
+built once and shared: LISTEN, NO_FEEDBACK, SILENCE, COLLISION,
 the protocols' dummy transmission, and the triple of a slot nobody
 transmits in.
 """
@@ -76,13 +78,19 @@ class CdModel(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Action:
-    """What a device does in one slot: 'idle', 'listen' or 'transmit'."""
+    """What a device does in one slot: 'listen', or 'transmit' a payload."""
 
     kind: str
     payload: Optional[Payload] = None
 
+    def __post_init__(self):
+        if self.kind not in ("listen", "transmit"):
+            raise ValueError(f"action kind {self.kind!r}; only 'listen' and "
+                             "'transmit' exist")
+        if self.kind == "listen" and self.payload is not None:
+            raise ValueError(f"a listen carries no payload, not {self.payload!r}")
 
-IDLE = Action("idle")
+
 LISTEN = Action("listen")
 
 # object.__new__ plus the slot descriptors' __set__: see the module docstring
@@ -100,11 +108,8 @@ def transmit(payload: Payload) -> Action:
 
 @dataclass(frozen=True, slots=True)
 class Feedback:
-    """What a device learns from one slot.
-
-    kind 'none' means the model gives this device nothing (idle devices
-    always, transmitters under receiver_cd / no_cd).
-    """
+    """What a device learns from one slot.  kind 'none' means the model
+    gives it nothing (a transmitter under receiver_cd / no_cd)."""
 
     kind: str
     payload: Optional[Payload] = None

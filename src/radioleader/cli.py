@@ -7,7 +7,9 @@ to a sibling <out>.agg.csv.  Rows are sorted by a canonical key and floats
 are formatted with a fixed precision, so identical invocations produce
 byte-identical files.  `--checks` switches to the fixed lower-bound
 checker battery, which needs no `--protocol`, and emits
-`check,protocol,N,k,t,result,witness` rows instead.
+`check,protocol,N,k,t,result,witness` rows instead.  `--json-out` writes
+the same records as one line of `json.dumps(..., sort_keys=True)`: no
+indent, so the stdlib's C encoder runs, which leaves no reference cycles.
 
 Exit codes: 0 on success; 1 only when `--assert-success` finds a run that
 missed strict success (a failed election is a row, not an error); 2 when
@@ -175,6 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+_INTEGER = re.compile(r"\s*([-+]?)(\d+(?:_\d+)*)\s*")
+
+
+def _exponent(text: str, bound: int) -> int:
+    """int(text), but past `bound` only an exponent's sign and parity
+    matter, so one with more digits is bound + 1 or + 2 with those (int()
+    refuses over 4,300 digits)."""
+    match = _INTEGER.fullmatch(text)
+    if match is None:
+        return int(text)  # not an integer: int() names the fault
+    digits = match[2].replace("_", "").lstrip("0") or "0"
+    if len(digits) > len(str(bound)):
+        digits = str(bound + 2 - (bound + int(digits[-1])) % 2)
+    return int(match[1] + digits)
 
 
 def _parse_density(text: str, N: int) -> List[Fraction]:
@@ -193,7 +209,7 @@ def _parse_density(text: str, N: int) -> List[Fraction]:
         try:
             if "^" in piece:
                 base, _, expo = piece.partition("^")
-                base, expo = int(base), int(expo)
+                base, expo = int(base), _exponent(expo, cap)
                 if abs(base) >= 2 and abs(expo) > cap:
                     if expo > 0 or (base < 0 and expo % 2):
                         raise ValueError(f"density {piece} outside (0, 1]")
@@ -201,8 +217,9 @@ def _parse_density(text: str, N: int) -> List[Fraction]:
                 out.append(Fraction(base) ** expo)
             else:
                 decimal = _EXPONENT.search(piece)
-                expo = int(decimal[1]) if decimal and "/" not in piece else 0
                 limit = cap + len(piece)
+                expo = (_exponent(decimal[1], limit)
+                        if decimal and "/" not in piece else 0)
                 if abs(expo) > limit:
                     c = Fraction(piece[:decimal.start()])
                     if c <= 0 or expo > 0:
@@ -455,32 +472,6 @@ def _table(header: str, records: Iterable[Record]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _json_text(value, indent: str = "") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)` for dicts and lists of
-    strings, without the stdlib's pure-Python indenting encoder: its
-    nested functions form reference cycles that outlive every call."""
-    if isinstance(value, str):
-        return _quote(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{inner}{_quote(key)}: {_json_text(item, inner)}"
-                 for key, item in sorted(value.items())]
-        open_, close = "{", "}"
-    else:
-        items = [inner + _json_text(item, inner) for item in value]
-        open_, close = "[", "]"
-    if not items:
-        return open_ + close
-    return f"{open_}\n" + ",\n".join(items) + f"\n{indent}{close}"
-
-
-def _json(payload) -> str:
-    return _json_text(payload) + "\n"
-
-
 def _make_dirs(path: str) -> List[str]:
     """`os.makedirs(path, exist_ok=True)`; returns the directories it
     made, deepest first."""
@@ -617,8 +608,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.checks:
             rows = run_checks(args)
             table(args.out, CHECK_HEADER, rows)
-            if args.json_out:
-                files.append((args.json_out, _json(rows)))
+            payload = rows
         else:
             rows, aggs, transcripts, attempt_rows = run_experiment(args)
             table(args.out, CSV_HEADER, rows)
@@ -629,9 +619,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 made = _make_dirs(args.emit_transcripts)
                 files += [(os.path.join(args.emit_transcripts, name), text)
                           for name, text in transcripts]
-            if args.json_out:
-                files.append((args.json_out,
-                              _json({"runs": rows, "aggregates": aggs})))
+            payload = {"runs": rows, "aggregates": aggs}
+        if args.json_out:
+            files.append((args.json_out, json.dumps(payload, sort_keys=True) + "\n"))
         _write_all(files)
     except (ValueError, OSError) as exc:
         for d in made:

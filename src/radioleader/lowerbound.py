@@ -15,6 +15,9 @@ implementations at desk scale:
     adversary must branch;
   * potential active slots: replaying one device against every feedback
     history with at most k non-idle steps touches <= 2^k distinct slots.
+
+Both replays drive one program by hand, refusing what `run_programs`
+refuses: each offer is checked by `runtime.offer_error`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .channel import COLLISION, NO_FEEDBACK, SILENCE, Feedback
-from .runtime import ProtocolConfig
+from .runtime import ProtocolConfig, offer_error
 
 # Feedback styles for the adversarial channel that never delivers a message.
 # receiver style: transmitters learn nothing (their side has no feedback);
@@ -43,20 +46,37 @@ def _forced_feedback(action_kind: str, style: str) -> Feedback:
     return NO_FEEDBACK
 
 
+def _replay(program, length: int):
+    """The checked offers of program.run() on a schedule of `length`
+    slots; the feedback sent back resumes the program."""
+    send = program.run().send
+    rnd, fb = -1, None
+    while True:
+        try:
+            item = send(fb)
+        except StopIteration:
+            return
+        error = offer_error(program.device_id, item, rnd, length)
+        if error is not None:
+            raise error
+        rnd = item[0]
+        fb = yield item
+
+
 def canonical_sequence(factory, device_id: int, config: ProtocolConfig,
                        style: str = RECEIVER_STYLE) -> str:
     """I/L/T string of length schedule_length(config) describing what the
     device does when it never hears a message and never delivers one."""
     if style not in (RECEIVER_STYLE, STRONG_STYLE):
         raise ValueError(f"unknown feedback style {style!r}")
-    out = bytearray(b"I") * factory.schedule_length(config)
-    program = factory(device_id, config)
-    gen = program.run()
+    length = factory.schedule_length(config)
+    out = bytearray(b"I") * length
+    replay = _replay(factory(device_id, config), length)
     try:
-        rnd, action = next(gen)
+        rnd, action = next(replay)
         while True:
             out[rnd] = _T if action.kind == "transmit" else _L
-            rnd, action = gen.send(_forced_feedback(action.kind, style))
+            rnd, action = replay.send(_forced_feedback(action.kind, style))
     except StopIteration:
         pass
     return out.decode("ascii")
@@ -165,12 +185,11 @@ def potential_active_slots(factory, device_id: int, config: ProtocolConfig,
     active = set()
 
     def explore(prefix: List[Feedback]):
-        program = factory(device_id, config)
-        gen = program.run()
+        replay = _replay(factory(device_id, config), t)
         try:
-            rnd, action = next(gen)
+            rnd, _ = next(replay)
             for fb in prefix:
-                rnd, action = gen.send(fb)
+                rnd, _ = replay.send(fb)
         except StopIteration:
             return
         # the program is now stopped at its (len(prefix)+1)-th non-idle slot

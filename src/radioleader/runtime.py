@@ -28,11 +28,12 @@ the feedback kind (none, silence, collision, received).  Only an event
 whose code carries a payload, a transmit or a listen that received,
 appends one to `event_payloads`; a transmitter that received hears its
 own payload, so one entry serves both.  No Action or Feedback object is
-kept, and no listen may offer a payload, so the codes lose nothing.
-`Transcript.events` is a read-only view that rebuilds equal
+kept, and a listen carries no payload (an Action checks that), so the
+codes lose nothing.  A listen receives exactly when its slot has one
+transmitter, so easy success is a code 3.  `Transcript.events` is a read-only view that rebuilds equal
 (round, device, Action, Feedback) tuples when read; the energy tally,
-`serialize`, the hash, the replay check and exponential search's attempt
-summaries read the columns.  At N = 2^14 with every id present a
+`serialize`, the hash and exponential search's attempt summaries read the
+columns.  At N = 2^14 with every id present a
 transcript keeps 24, 21 and 37 bytes per event for pairing, binary search
 and exponential search, where a list of event tuples kept 112, 85 and 148
 (tracemalloc).  Recording takes three or four appends per event instead
@@ -60,13 +61,13 @@ that order, the executor picks the feedback of the device's action kind,
 records the event, resumes the program through its `send` (bound once
 per run), and checks and schedules its next offer right there in the
 slot loop.  An offer must be a plain `tuple` of an `int` round and an
-`Action` (exact types, so a bool round is refused).  A program's first
-offer takes the same path: the run opens with a round -1 in which every
-device is resumed with None.  Every offer listens or transmits, so a slot
-shows easy success exactly when it has one transmitter and more than one
-offer.  Device ids are plain ints: ids that `operator.index`
-accepts are converted, and bools and other non-integers are rejected
-before the run starts.
+`Action` (exact types, so a bool round is refused) for a round after the
+device's previous one and inside the schedule; the loop tests that inline
+and raises what `offer_error` names.  A program's first offer takes the
+same path: the run opens with a round -1 in which every device is resumed
+with None.  Device ids are plain ints: ids that `operator.index` accepts
+are converted, and bools and other non-integers are rejected before the
+run starts.
 
 The cyclic garbage collector is paused by one context manager,
 `collector_paused`, around a run and around a whole CLI sweep (every run
@@ -154,10 +155,6 @@ from .partitions import PartitionFamily
 
 class ScheduleOverrun(RuntimeError):
     """A program acted outside its declared schedule."""
-
-
-class NonDeterminism(RuntimeError):
-    """Two replays of the same run diverged."""
 
 
 @dataclass(frozen=True)
@@ -490,7 +487,6 @@ class RunReport:
     verdicts: Dict[int, Verdict]
     ledger: EnergyLedger
     strict_success: bool
-    easy_success: bool
     rounds: int
     transcript: Transcript
     attempts: Optional[tuple] = None
@@ -499,6 +495,11 @@ class RunReport:
     def transcript_hash(self) -> int:
         """`Transcript.hash64`, computed on first read."""
         return self.transcript.hash64()
+
+    @property
+    def easy_success(self) -> bool:
+        """Some listen received a message: its slot had one transmitter."""
+        return _RECEIVED in self.transcript.event_codes
 
     @property
     def leader(self) -> Optional[int]:
@@ -525,6 +526,19 @@ def _device_id(dev) -> int:
         except TypeError:
             pass
     raise ValueError(f"device ids must be integers, not {dev!r}")
+
+
+def offer_error(device: int, item, previous: int,
+                total: int) -> Optional[ScheduleOverrun]:
+    """Why a run refuses `item`, offered by `device` after its round
+    `previous` in a schedule of `total` rounds, or None if it takes it."""
+    if (type(item) is not tuple or len(item) != 2
+            or type(item[0]) is not int or type(item[1]) is not Action):
+        return ScheduleOverrun(f"device {device} yielded malformed slot {item!r}")
+    if not previous < item[0] < total:
+        return ScheduleOverrun(f"device {device} requested round {item[0]} outside "
+                               f"its schedule (previous {previous}, length {total})")
+    return None
 
 
 @contextmanager
@@ -574,7 +588,6 @@ def run_programs(
         model=model, N=config.N, rounds=total_rounds, device_ids=device_ids,
         event_rounds=array("q") if total_rounds <= 1 << 63 else [],
     )
-    easy = False
 
     with collector_paused():
         programs = [factory(dev, config) for dev in ids]
@@ -620,26 +633,10 @@ def run_programs(
                     or type(item[0]) is not int
                     or type(item[1]) is not Action
                 ):
-                    raise ScheduleOverrun(
-                        f"device {ids[pos]} yielded malformed slot {item!r}"
-                    )
+                    raise offer_error(ids[pos], item, rnd, total_rounds)
                 nxt, offer = item
-                if offer is not LISTEN and offer.kind != "transmit":
-                    if offer.kind != "listen":
-                        raise ScheduleOverrun(
-                            f"device {ids[pos]} yielded action kind {offer.kind!r}; "
-                            "only 'listen' and 'transmit' may be offered"
-                        )
-                    if offer.payload is not None:
-                        raise ScheduleOverrun(
-                            f"device {ids[pos]} yielded a listen with payload "
-                            f"{offer.payload!r}; only a transmit carries one"
-                        )
                 if nxt <= rnd or nxt >= total_rounds:
-                    raise ScheduleOverrun(
-                        f"device {ids[pos]} requested round {nxt} outside its "
-                        f"schedule (previous {rnd}, length {total_rounds})"
-                    )
+                    raise offer_error(ids[pos], item, rnd, total_rounds)
                 if nxt < first:
                     if held is not None:
                         slots[first] = [held]
@@ -667,11 +664,7 @@ def run_programs(
                     bucket.sort()
             else:
                 break
-            listener, transmitter, c = resolve_slot(model, bucket)
-            # every offer listens or transmits, so a lone transmitter among
-            # several offers always has a listener
-            if c == 1 and len(bucket) > 1:
-                easy = True
+            listener, transmitter, _ = resolve_slot(model, bucket)
             if listener is not None:
                 listen_code = _FEEDBACK_CODE[listener.kind]
             transmit_code = TRANSMIT | _FEEDBACK_CODE[transmitter.kind]
@@ -687,7 +680,6 @@ def run_programs(
             verdicts=verdicts,
             ledger=ledger,
             strict_success=check_strict_success(verdicts),
-            easy_success=easy,
             rounds=total_rounds,
             transcript=transcript,
         )
@@ -698,19 +690,6 @@ def execute(
     factory: type[DeviceProgram],
     devices: Iterable[int],
     config: ProtocolConfig,
-    check_replay: bool = False,
 ) -> RunReport:
-    """Run a protocol once; with check_replay=True run it twice and raise
-    NonDeterminism at the first event where the two transcripts differ."""
-    report, _ = run_programs(factory, devices, config)
-    if check_replay:
-        replay, _ = run_programs(factory, report.device_ids, config)
-        if replay.transcript != report.transcript:
-            runs = (report.transcript.events, replay.transcript.events)
-            i = next((i for i, (a, b) in enumerate(zip(*runs)) if a != b),
-                     min(map(len, runs)))
-            first, second = (events[i] if i < len(events)
-                             else "end of transcript" for events in runs)
-            raise NonDeterminism(
-                f"replay diverged at event {i}: {first} vs {second}")
-    return report
+    """Run a protocol once and return its report."""
+    return run_programs(factory, devices, config)[0]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from radioleader.channel import (
     COLLISION,
-    IDLE,
     LISTEN,
     NO_FEEDBACK,
     SILENCE,
@@ -22,11 +21,11 @@ S, X, R, N = CdModel.STRONG_CD, CdModel.SENDER_CD, CdModel.RECEIVER_CD, CdModel.
 
 def resolve_by_device(model, actions):
     """Resolve a slot given as {device: action} and hand each device the
-    feedback for its action's kind (an idle device NO_FEEDBACK).
+    feedback for its action's kind.
     Returns (per-device feedback, transmitter count)."""
     listener, transmitter, c = resolve_slot(model, sorted(actions.items()))
     by_kind = {"listen": listener, "transmit": transmitter}
-    feedback = {d: by_kind.get(a.kind, NO_FEEDBACK) for d, a in actions.items()}
+    feedback = {d: by_kind[a.kind] for d, a in actions.items()}
     return feedback, c
 
 
@@ -56,9 +55,12 @@ def test_strong_cd_transmitters_detect_collision():
 
 
 def test_idle_devices_learn_nothing():
+    # idling is no Action: an idle device offers nothing and is handed nothing
+    with pytest.raises(ValueError, match="action kind 'idle'"):
+        Action("idle")
     for model in CdModel:
-        feedback, _ = resolve_by_device(model, {1: IDLE, 2: transmit(5), 3: LISTEN})
-        assert feedback[1] == NO_FEEDBACK
+        feedback, _ = resolve_by_device(model, {2: transmit(5), 3: LISTEN})
+        assert set(feedback) == {2, 3}
 
 
 @pytest.mark.parametrize("c", [0, 1, 2, 3])
@@ -79,8 +81,6 @@ def _coarsen(model, role, strong_fb):
     # feedback.  Listeners lose collision detection without receiver-side
     # feedback; transmitters lose everything without sender-side feedback,
     # and under sender_cd they see silence instead of collision.
-    if role == "idle":
-        return NO_FEEDBACK
     if role == "listen":
         if strong_fb == COLLISION and not model.receiver_side:
             return SILENCE
@@ -97,12 +97,10 @@ def _coarsen(model, role, strong_fb):
 def test_weaker_feedback_is_coarsened_strong_feedback(model, c):
     actions = {i: transmit(i) for i in range(1, c + 1)}
     actions[50] = LISTEN
-    actions[60] = IDLE
     strong, _ = resolve_by_device(S, actions)
     weak, _ = resolve_by_device(model, actions)
     for dev, act in actions.items():
-        role = act.kind if act.kind != "transmit" else "transmit"
-        assert weak[dev] == _coarsen(model, role, strong[dev]), (
+        assert weak[dev] == _coarsen(model, act.kind, strong[dev]), (
             model,
             dev,
             c,
@@ -118,7 +116,7 @@ def test_collision_never_reported_in_two_way_models():
             assert COLLISION not in feedback.values()
 
 
-_action = st.sampled_from(["idle", "listen", "transmit"])
+_action = st.sampled_from(["listen", "transmit"])
 
 
 @given(
@@ -127,7 +125,7 @@ _action = st.sampled_from(["idle", "listen", "transmit"])
 )
 def test_resolve_slot_total_and_deterministic(kinds, model):
     actions = {
-        d: transmit(d) if k == "transmit" else (LISTEN if k == "listen" else IDLE)
+        d: transmit(d) if k == "transmit" else LISTEN
         for d, k in kinds.items()
     }
     feedback, c = resolve_by_device(model, actions)
@@ -163,14 +161,8 @@ def reference_resolve_slot(model, actions):
     else:
         sender_fb = NO_FEEDBACK
 
-    feedback = {}
-    for dev, act in actions.items():
-        if act.kind == "listen":
-            feedback[dev] = listener_fb
-        elif act.kind == "transmit":
-            feedback[dev] = sender_fb
-        else:
-            feedback[dev] = NO_FEEDBACK
+    feedback = {dev: listener_fb if act.kind == "listen" else sender_fb
+                for dev, act in actions.items()}
     return feedback, c
 
 
@@ -179,7 +171,6 @@ _payload = st.one_of(
     st.lists(st.integers(0, 10**6), max_size=4).map(tuple),
 )
 _any_action = st.one_of(
-    st.just(IDLE),
     st.just(LISTEN),
     _payload.map(transmit),
 )

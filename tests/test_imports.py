@@ -16,9 +16,9 @@ only `runtime.collector_paused` may make one, so pausing and promoting
 stay in one place.
 
 Another walk keeps the package to what its callers use: each top-level
-`def` or `class` in `src/radioleader/` is read by package code outside its
-own definition or listed in `radioleader.__all__`.  Fixtures and
-references that only tests read live in the tests.
+`def`, `class` or assigned name in `src/radioleader/` is read by package
+code outside its own definition or listed in `radioleader.__all__`.
+Fixtures and references that only tests read live in the tests.
 """
 
 import ast
@@ -53,10 +53,10 @@ def unused_imports(source: str):
 
 
 def unread_definitions(sources, exported=()):
-    """(module, name) of every top-level def or class in `sources` (module
-    name -> source text) that no module reads outside that definition and
-    `exported` does not list.  A read is a loaded name or attribute; an
-    import is not one."""
+    """(module, name) of every top-level def, class or assigned name in
+    `sources` (module name -> source text) that no module reads outside
+    that definition and `exported` does not list.  A read is a loaded name
+    or attribute; an import is not one."""
     reads = Counter()
     defined = []
     for module, source in sorted(sources.items()):
@@ -70,6 +70,10 @@ def unread_definitions(sources, exported=()):
             reads += found
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, node.name, found[node.name]))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.id, found[n.id]) for target in targets
+                            for n in ast.walk(target) if isinstance(n, ast.Name)]
     return [(module, name) for module, name, own in defined
             if reads[name] == own and name not in exported]
 
@@ -89,6 +93,8 @@ def test_unread_checker_names_the_offending_definition():
             "class Fixture: pass\n"
             "def public(): pass\n"
             "TABLE = {'x': used}\n"
+            "LIMIT: int = 3\n"
+            "WIDTH, DEPTH = 2, LIMIT\n"
         ),
         "b": (
             "def helper(): return 1\n"
@@ -101,7 +107,8 @@ def test_unread_checker_names_the_offending_definition():
         "c": "from b import only_imported\n",
     }
     assert unread_definitions(sources, exported=["public", "Child", "reader"]) == [
-        ("a", "recursive"), ("a", "Fixture"), ("b", "only_imported"),
+        ("a", "recursive"), ("a", "Fixture"), ("a", "TABLE"), ("a", "WIDTH"),
+        ("a", "DEPTH"), ("b", "only_imported"),
     ]
 
 

@@ -18,19 +18,18 @@ devices never learn anything.
 
 `resolve_slot` takes the slot's offers as a list of (device, action) pairs
 and makes one pass over them that counts transmitters and keeps the last
-payload seen.  It returns a plain triple: what every listener hears, what
-every transmitter hears, and the number of transmitters.  The feedbacks
-are the module's SILENCE, COLLISION and NO_FEEDBACK, or one
-`received(payload)` shared by the whole slot.  There is no per-device map
-in or out; a caller hands each device the feedback of its action's kind.
-Both are always a Feedback, except for a lone transmitter that is the
-slot's only offer under receiver_cd or no_cd: nobody can hear it, so the
-listener feedback is None instead of a `received` copy.  87,626 of the 213,090 slots of the benchmark's sparse
+payload seen.  It returns a plain pair: what every listener hears and what
+every transmitter hears.  Each is the module's SILENCE, COLLISION or
+NO_FEEDBACK, or one `received(payload)` shared by the whole slot.  There
+is no per-device map in or out; a caller hands each device the feedback
+of its action's kind.  Both are always a Feedback, except for a lone
+transmitter that is the slot's only offer under receiver_cd or no_cd:
+nobody can hear it, so the listener feedback is None instead of a
+`received` copy.  87,626 of the 213,090 slots of the benchmark's sparse
 exponential-search workload (seed 1) are such slots, and building the copy
 anyway made those runs about 3% slower.  The model is matched by identity
-against module constants, not through the `sender_side` / `receiver_side`
-properties, which cost a method call each.  The runtime calls it once per
-occupied slot.
+against module constants, not through the `sender_side` property, which
+costs a method call.  The runtime calls it once per occupied slot.
 
 Action and Feedback are frozen slotted dataclasses, so equality, hash,
 repr and FrozenInstanceError come from the dataclass.  An Action checks
@@ -43,7 +42,7 @@ instead: 370-410 ns a call against 590-780 ns through __init__ (timeit,
 Python 3.11, shared 2-vCPU x86-64 VM).  That skips the check too, and
 `transmit` only ever builds a valid action.  Objects that never vary are
 built once and shared: LISTEN, NO_FEEDBACK, SILENCE, COLLISION,
-the protocols' dummy transmission, and the triple of a slot nobody
+the protocols' dummy transmission, and the pair of a slot nobody
 transmits in.
 """
 
@@ -69,11 +68,6 @@ class CdModel(Enum):
     def sender_side(self) -> bool:
         """True when transmitters receive channel feedback."""
         return self in (CdModel.STRONG_CD, CdModel.SENDER_CD)
-
-    @property
-    def receiver_side(self) -> bool:
-        """True when listeners can tell collision from silence."""
-        return self in (CdModel.STRONG_CD, CdModel.RECEIVER_CD)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,14 +127,13 @@ def received(payload: Payload) -> Feedback:
 _STRONG_CD = CdModel.STRONG_CD
 _SENDER_CD = CdModel.SENDER_CD
 _RECEIVER_CD = CdModel.RECEIVER_CD
-_SILENT = (SILENCE, NO_FEEDBACK, 0)
+_SILENT = (SILENCE, NO_FEEDBACK)
 
 
 def resolve_slot(
     model: CdModel, offers: Sequence[Tuple[int, Action]]
-) -> Tuple[Optional[Feedback], Feedback, int]:
-    """Resolve one slot: (listener feedback, transmitter feedback,
-    transmitter count).
+) -> Tuple[Optional[Feedback], Feedback]:
+    """Resolve one slot: (listener feedback, transmitter feedback).
 
     Pure and total: any (device, action) pairs are accepted, and the result
     depends only on the model and the actions.  The listener feedback is
@@ -158,13 +151,13 @@ def resolve_slot(
     if c == 1:
         if model is _STRONG_CD or model is _SENDER_CD:
             fb = received(payload)
-            return fb, fb, 1
+            return fb, fb
         # a lone transmitter with nobody else in the slot needs no copy
-        return (received(payload) if len(offers) > 1 else None), NO_FEEDBACK, 1
+        return (received(payload) if len(offers) > 1 else None), NO_FEEDBACK
     if model is _STRONG_CD:
-        return COLLISION, COLLISION, c
+        return COLLISION, COLLISION
     if model is _SENDER_CD:
-        return SILENCE, SILENCE, c
+        return SILENCE, SILENCE
     if model is _RECEIVER_CD:
-        return COLLISION, NO_FEEDBACK, c
-    return SILENCE, NO_FEEDBACK, c
+        return COLLISION, NO_FEEDBACK
+    return SILENCE, NO_FEEDBACK

@@ -180,10 +180,14 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 _INTEGER = re.compile(r"\s*([-+]?)(\d+(?:_\d+)*)\s*")
 
 
-def _exponent(text: str, bound: int) -> int:
-    """int(text), but past `bound` only an exponent's sign and parity
-    matter, so one with more digits is bound + 1 or + 2 with those (int()
-    refuses over 4,300 digits)."""
+_MAX_DIGITS = 4300  # int() refuses a longer decimal string
+
+
+def _bounded_int(text: str, bound: int) -> int:
+    """int(text), but one of more digits than `bound` is read as bound + 1
+    or + 2 with its sign and parity: past `bound` an exponent needs only
+    those, and an id is out of range anyway (int() refuses over 4,300
+    digits)."""
     match = _INTEGER.fullmatch(text)
     if match is None:
         return int(text)  # not an integer: int() names the fault
@@ -191,6 +195,15 @@ def _exponent(text: str, bound: int) -> int:
     if len(digits) > len(str(bound)):
         digits = str(bound + 2 - (bound + int(digits[-1])) % 2)
     return int(match[1] + digits)
+
+
+def _digits_fit(text: str, piece: str) -> str:
+    """`text`, the part of density `piece` that int() or Fraction() reads
+    next, refused when it has more digits than int() reads (an exponent
+    past the cap is read by `_bounded_int` instead)."""
+    if sum(map(str.isdecimal, text)) > _MAX_DIGITS:
+        raise ValueError(f"density {piece} has more than {_MAX_DIGITS} digits")
+    return text
 
 
 def _parse_density(text: str, N: int) -> List[Fraction]:
@@ -209,7 +222,8 @@ def _parse_density(text: str, N: int) -> List[Fraction]:
         try:
             if "^" in piece:
                 base, _, expo = piece.partition("^")
-                base, expo = int(base), _exponent(expo, cap)
+                base = int(_digits_fit(base, piece))
+                expo = _bounded_int(expo, cap)
                 if abs(base) >= 2 and abs(expo) > cap:
                     if expo > 0 or (base < 0 and expo % 2):
                         raise ValueError(f"density {piece} outside (0, 1]")
@@ -218,15 +232,15 @@ def _parse_density(text: str, N: int) -> List[Fraction]:
             else:
                 decimal = _EXPONENT.search(piece)
                 limit = cap + len(piece)
-                expo = (_exponent(decimal[1], limit)
+                expo = (_bounded_int(decimal[1], limit)
                         if decimal and "/" not in piece else 0)
                 if abs(expo) > limit:
-                    c = Fraction(piece[:decimal.start()])
+                    c = Fraction(_digits_fit(piece[:decimal.start()], piece))
                     if c <= 0 or expo > 0:
                         raise ValueError(f"density {piece} outside (0, 1]")
                     out.append(c / 10 ** limit)
                 else:
-                    out.append(Fraction(piece))
+                    out.append(Fraction(_digits_fit(piece, piece)))
         except ZeroDivisionError:
             raise ValueError(f"density {piece} divides by zero") from None
     if not out:
@@ -237,21 +251,23 @@ def _parse_density(text: str, N: int) -> List[Fraction]:
     return out
 
 
-def _parse_ids(text: str) -> List[int]:
-    ids = sorted({int(tok) for tok in text.replace(",", " ").split()})
+def _parse_ids(text: str, N: int) -> List[int]:
+    ids = sorted({_bounded_int(tok, N) for tok in text.replace(",", " ").split()})
     if not ids:
         raise ValueError("empty id list")
+    if ids[0] < 1 or ids[-1] > N:  # before any run, as run_programs words it
+        raise ValueError(f"device ids must lie in 1..{N}")
     return ids
 
 
-def _read_subsets_file(path: str) -> List[List[int]]:
+def _read_subsets_file(path: str, N: int) -> List[List[int]]:
     subsets = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            subsets.append(_parse_ids(line))
+            subsets.append(_parse_ids(line, N))
     if not subsets:
         raise ValueError(f"no subsets in {path}")
     return subsets
@@ -282,14 +298,14 @@ def _refuse_options(args) -> None:
 def generate_subsets(args) -> List[List[int]]:
     N, kind = args.N, _subset_kind(args)
     if kind == "ids":
-        return [_parse_ids(args.ids)]
+        return [_parse_ids(args.ids, N)]
     if kind == "all":
         if N > 20:
             raise ValueError("--subsets all refuses N > 20 (2^N executions)")
         return [[i + 1 for i in range(N) if mask >> i & 1]
                 for mask in range(1, 1 << N)]
     if kind == "file":
-        return _read_subsets_file(args.subsets_file)
+        return _read_subsets_file(args.subsets_file, N)
     if kind == "density":
         sizes = [max(1, round(c * N))
                  for c in _parse_density(args.density, N)]

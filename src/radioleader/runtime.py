@@ -30,15 +30,16 @@ appends one to `event_payloads`; a transmitter that received hears its
 own payload, so one entry serves both.  No Action or Feedback object is
 kept, and a listen carries no payload (an Action checks that), so the
 codes lose nothing.  A listen receives exactly when its slot has one
-transmitter, so easy success is a code 3.  `Transcript.events` is a read-only view that rebuilds equal
-(round, device, Action, Feedback) tuples when read; the energy tally,
-`serialize`, the hash and exponential search's attempt summaries read the
-columns.  At N = 2^14 with every id present a
-transcript keeps 24, 21 and 37 bytes per event for pairing, binary search
-and exponential search, where a list of event tuples kept 112, 85 and 148
-(tracemalloc).  Recording takes three or four appends per event instead
-of one tuple: `array.append` costs about 80 ns and `list.append` 28
-(timeit, Python 3.11, shared 2-vCPU x86-64 VM).
+transmitter, so easy success is a code 3.  `Transcript.events` is read
+by iterating: it rebuilds equal (round, device, Action, Feedback) tuples
+from the start, and its `len` is the length of a column.  The energy
+tally, `serialize`, the hash and exponential search's attempt summaries
+read the columns.  At N = 2^14 with every id present a transcript keeps
+24, 21 and 37 bytes per event for pairing, binary search and exponential
+search, where a list of event tuples kept 112, 85 and 148 (tracemalloc).
+Recording takes three or four appends per event instead of one tuple:
+`array.append` costs about 80 ns and `list.append` 28 (timeit, Python
+3.11, shared 2-vCPU x86-64 VM).
 
 The schedule holds one bucket of offers per occupied round and one heap
 entry per such round, so a slot costs one heap operation however many
@@ -55,12 +56,11 @@ A slot is resolved by one `resolve_slot` call over its offers, held-back
 ones included, sorted into ascending device order by a plain
 `list.sort()` (a bucket of one offer needs no sort): a device has at most
 one outstanding offer, so the sort never compares two actions.
-`resolve_slot` returns what the slot's listeners hear, what its
-transmitters hear and how many transmitted.  Then, device by device in
-that order, the executor picks the feedback of the device's action kind,
-records the event, resumes the program through its `send` (bound once
-per run), and checks and schedules its next offer right there in the
-slot loop.  An offer must be a plain `tuple` of an `int` round and an
+`resolve_slot` returns what the slot's listeners hear and what its
+transmitters hear.  Then, device by device in that order, the executor
+picks the feedback of the device's action kind, records the event,
+resumes the program through its `send` (bound once per run), and checks
+and schedules its next offer right there in the slot loop.  An offer must be a plain `tuple` of an `int` round and an
 `Action` (exact types, so a bool round is refused) for a round after the
 device's previous one and inside the schedule; the loop tests that inline
 and raises what `offer_error` names.  A program's first offer takes the
@@ -127,7 +127,6 @@ from __future__ import annotations
 
 import gc
 from array import array
-from collections import abc
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
@@ -409,7 +408,8 @@ class Transcript:
 
     @property
     def events(self) -> "Events":
-        """The events as (round, device, Action, Feedback) tuples."""
+        """The events as (round, device, Action, Feedback) tuples, read by
+        iterating."""
         return Events(self)
 
     def serialize(self) -> str:
@@ -422,11 +422,12 @@ class Transcript:
         return transcript_hashes([self])[0]
 
 
-class Events(abc.Sequence):
-    """Read-only view of a transcript's events: each is decoded from the
-    columns into a (round, device, Action, Feedback) tuple when read.  The
-    tuples equal the recorded ones; the Action and Feedback objects are
-    rebuilt, or the shared constants."""
+class Events:
+    """A transcript's events, read by iterating: each is decoded from the
+    columns into a (round, device, Action, Feedback) tuple.  The tuples
+    equal the recorded ones; the Action and Feedback objects are rebuilt,
+    or the shared constants.  `len` reads one column, and the view equals
+    a list or tuple of the same events."""
 
     __slots__ = ("_t",)
 
@@ -436,38 +437,19 @@ class Events(abc.Sequence):
     def __len__(self) -> int:
         return len(self._t.event_codes)
 
-    def __iter__(self) -> Iterator[Event]:
-        return self._decoded(0)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        i = range(len(self))[i]  # IndexError past either end
-        return next(self._decoded(i))
-
     def __eq__(self, other):
-        if not isinstance(other, abc.Sequence):
+        if not isinstance(other, (Events, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and list(self) == list(other)
 
-    def __repr__(self) -> str:
-        return f"Events({list(self)!r})"
-
-    def _decoded(self, start: int) -> Iterator[Event]:
+    def __iter__(self) -> Iterator[Event]:
         t = self._t
-        ids, rounds, devices = t.device_ids, t.event_rounds, t.event_devices
-        codes, payloads = t.event_codes, t.event_payloads
-        # the payloads before event `start` belong to the codes that carry one
-        k = start - sum(codes.count(code, 0, start) for code in range(_RECEIVED))
-        for i in range(start, len(codes)):
-            code = codes[i]
-            p = None
-            if code >= _RECEIVED:
-                p = payloads[k]
-                k += 1
+        ids, payloads = t.device_ids, iter(t.event_payloads)
+        for rnd, pos, code in zip(t.event_rounds, t.event_devices, t.event_codes):
+            p = next(payloads) if code >= _RECEIVED else None
             action = transmit(p) if code & TRANSMIT else LISTEN
             fb = received(p) if code & 3 == _RECEIVED else _BARE_FEEDBACK[code & 3]
-            yield rounds[i], ids[devices[i]], action, fb
+            yield rnd, ids[pos], action, fb
 
 
 @dataclass(frozen=True)
@@ -664,7 +646,7 @@ def run_programs(
                     bucket.sort()
             else:
                 break
-            listener, transmitter, _ = resolve_slot(model, bucket)
+            listener, transmitter = resolve_slot(model, bucket)
             if listener is not None:
                 listen_code = _FEEDBACK_CODE[listener.kind]
             transmit_code = TRANSMIT | _FEEDBACK_CODE[transmitter.kind]

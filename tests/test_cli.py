@@ -265,6 +265,18 @@ def test_explicit_ids(capsys):
     assert cols[3] == "2"
     assert cols[6] == str(ceil_log2(16) + 1)
     assert cols[8] == "true"
+    # an id past int()'s 4,300 digits is larger than any N, so it gets the
+    # range refusal like any other id outside 1..N, before any run
+    for protocol, ids in (("binary_search", "1,17"),
+                          ("binary_search", "1," + "9" * 5000),
+                          ("binary_search", "-" + "9" * 5000 + ",2"),
+                          ("dense_simple", "8" * 5000 + "," + "9" * 5000)):
+        code, out, err = run_cli(capsys, "--protocol", protocol,
+                                 "--N", "16", f"--ids={ids}")
+        assert (code, out, err) == (2, "", "error: device ids must lie in 1..16\n")
+    code, out, _ = run_cli(capsys, "--protocol", "binary_search", "--N", "16",
+                           "--ids", "0" * 5000 + "9,10")
+    assert code == 0 and body_rows(out)[0] == rows
 
 
 def test_subsets_file(tmp_path, capsys):
@@ -281,6 +293,11 @@ def test_subsets_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--protocol", "halving", "--N", "16",
                              "--subsets", "file", "--subsets-file", str(listing))
     assert (code, out) == (2, "") and err == f"error: no subsets in {listing}\n"
+    listing.write_text("1 2\n3 " + "9" * 5000 + "\n")
+    code, out, err = run_cli(capsys, "--protocol", "halving", "--N", "16",
+                             "--k", "2", "--subsets", "file",
+                             "--subsets-file", str(listing))
+    assert (code, out, err) == (2, "", "error: device ids must lie in 1..16\n")
 
 
 def test_density_grid(capsys):
@@ -309,6 +326,14 @@ def test_density_grid(capsys):
                                  "--N", str(N), "--subsets", "density",
                                  "--density", density)
         assert code == 2 and out == "" and err.startswith("error: ")
+    # so is a piece with more digits than int() reads, in the CLI's words
+    for density in ("9" * 5000 + "^-1", "0." + "0" * 5000 + "1",
+                    "1/" + "9" * 5000):
+        code, out, err = run_cli(capsys, "--protocol", "dense_improved",
+                                 "--N", str(N), "--subsets", "density",
+                                 f"--density={density}")
+        assert code == 2 and out == "" and err.startswith("error: density ")
+        assert "set_int_max_str_digits" not in err
 
 
 def test_huge_density_exponents_stay_cheap_and_exact():
@@ -340,6 +365,14 @@ def test_huge_density_exponents_stay_cheap_and_exact():
         assert sizes(8, density) == [1]
     assert sizes(8, "-2^-" + "9" * 5000) == "refused"
     assert sizes(8, "2^-" + "0" * 5000 + "3") == [1]  # 1/8 of 8
+    # a base, mantissa or fraction past 4,300 digits is refused with the
+    # CLI's message before int() or Fraction() reads it
+    for density in ("9" * 5000 + "^-1", "0." + "0" * 5000 + "1",
+                    "1/" + "9" * 5000, "0" * 5000 + "1e-3",
+                    "1e-" + "0" * 5000 + "3"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"density {density} has more than 4300 digits")):
+            _parse_density(density, 8)
     for density in ("0.5", ".25", "2.5e-1", "1E-2", "125e-3", "1/2"):
         assert _parse_density(density, 8) == [Fraction(density)], density
 

@@ -282,7 +282,7 @@ def test_dense_round_formulas():
         ):
             report = run(full, N=N, b=b)
             assert report.strict_success
-            assert report.transcript.events[-1][0] <= phase_len
+            assert report.transcript.event_rounds[-1] <= phase_len
 
 
 def test_dense_energy_bounds():

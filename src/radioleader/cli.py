@@ -14,18 +14,16 @@ indent, so the stdlib's C encoder runs, which leaves no reference cycles.
 Exit codes: 0 on success; 1 only when `--assert-success` finds a run that
 missed strict success (a failed election is a row, not an error); 2 when
 the invocation is refused, by argparse or afterwards by a bad parameter or
-an output that cannot be opened or written, which prints one `error: ...`
-line and writes nothing: a new or plain output file is written to a
-temporary name next to its path, any other output (a symlink, a device)
-is opened without truncating it, and only once all of that succeeded are
-the temporary files renamed onto their paths and the others written.
+an output that cannot be written, which prints one `error: ...` line and
+writes nothing: every output is written to a temporary name next to the
+file its path resolves to, and only once all of them are written are
+they renamed onto those files.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import functools
 import json
 import os
@@ -500,86 +498,65 @@ def _make_dirs(path: str) -> List[str]:
     return made
 
 
-def _staged(path: str) -> bool:
-    """Whether `path` gets its text by renaming a temporary file onto it,
-    which it may when renaming changes nothing but its bytes: when it
-    does not exist yet, or is a plain file with one link that this user
-    owns and may write, of the group a new file next to it would get, in
-    a directory this user may write.  Any other path (a symlink, a device
-    such as /dev/null, a file of someone else's) is written through, so
-    its directory entry, owner and mode stay as they are."""
-    try:
-        st = os.lstat(path)
-    except FileNotFoundError:
-        return True
-    head = os.path.dirname(path) or "."
-    dir_st = os.stat(head)
-    group = (dir_st.st_gid if dir_st.st_mode & stat.S_ISGID
-             else os.getegid())
-    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-            and st.st_uid == os.geteuid() and st.st_gid == group
-            and os.access(path, os.W_OK)
-            and os.access(head, os.W_OK | os.X_OK))
+def _targets(paths: Iterable[str]) -> List[str]:
+    """The file each path resolves to, following symlinks, dangling ones
+    too.  Refused when two paths resolve to one file, or when renaming a
+    file onto a target would change more than its bytes: it must be new,
+    or a plain file with one link that this user owns and may write, of
+    the group a new file next to it would get, in a directory this user
+    may write; not a directory, a device, a FIFO or a shared file."""
+    reals: Dict[str, None] = {}  # a dict, to keep the order of the paths
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in reals:
+            raise ValueError(f"{path} and another output name one file")
+        reals[real] = None
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            continue
+        head = os.path.dirname(real)
+        dir_st = os.stat(head)
+        group = (dir_st.st_gid if dir_st.st_mode & stat.S_ISGID
+                 else os.getegid())
+        if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                and st.st_uid == os.geteuid() and st.st_gid == group
+                and os.access(path, os.W_OK)
+                and os.access(head, os.W_OK | os.X_OK)):
+            raise ValueError(f"{path} must be new or a plain file with one "
+                             f"link that this user owns and may replace")
+    return list(reals)
 
 
 def _write_all(files: Sequence[Tuple[str, str]]) -> None:
-    """Write each (path, text), all or nothing as far as opening and
-    writing go.  Each text for a `_staged` path is written to a temporary
-    name next to it, and every other path is opened without truncating
-    it; only once all of that succeeded are the temporary files renamed
-    onto their paths and the other paths truncated and written.  An error
-    names the path.  One raised before that point leaves no temporary
-    file and no path changed; a rename or a write-through that fails
-    after it can leave the paths handled before it changed."""
+    """Write each (path, text), all or nothing as far as writing goes:
+    each text goes to a temporary name next to the `_targets` file of its
+    path, and once all are written each is renamed onto its target, with
+    the target's mode if it has one.  An error names the path.  One raised
+    before the renames leaves no temporary file and no target changed; a
+    failed rename can leave the targets renamed before it changed."""
     staged: List[Tuple[str, str]] = []
-    through = []
     try:
-        for i, (path, text) in enumerate(files):
+        for i, ((path, text), real) in enumerate(
+                zip(files, _targets(path for path, _ in files))):
+            head, tail = os.path.split(real)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
             try:
-                if os.path.isdir(path):
-                    raise IsADirectoryError(
-                        errno.EISDIR, os.strerror(errno.EISDIR), path)
-                if not _staged(path):
-                    # O_CREAT only matters for a dangling symlink, whose
-                    # target is removed again if a later path fails
-                    created = not os.path.exists(path)
-                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-                    through.append((os.fdopen(fd, "w"), path, text, created))
-                    continue
-                head, tail = os.path.split(path)
-                tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
                 with open(tmp, "w") as fh:
-                    staged.append((tmp, path))
+                    staged.append((tmp, real))
                     fh.write(text)
-                if os.path.exists(path):
-                    shutil.copymode(path, tmp)
+                if os.path.exists(real):
+                    shutil.copymode(real, tmp)
             except OSError as exc:
                 exc.filename = path
                 raise
-        for tmp, path in staged:
-            os.replace(tmp, path)
-        for fh, path, text, _ in through:
-            try:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate(0)
-                fh.write(text)
-                fh.flush()
-            except OSError as exc:
-                exc.filename = path
-                raise
+        for tmp, real in staged:
+            os.replace(tmp, real)
     except BaseException:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        for _, path, _, created in through:
-            if created:
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.realpath(path))
         raise
-    finally:
-        for fh, *_ in through:
-            with contextlib.suppress(OSError):
-                fh.close()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -612,15 +589,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if getattr(args, option) == "":
                 raise ValueError(f"--{option.replace('_', '-')} must name a "
                                  f"path, not ''")
-        if args.out and os.path.exists(args.out) and not os.path.isfile(args.out):
-            raise ValueError(f"--out names the other tables too, so it must be "
-                             f"a regular file or a new path, not {args.out}")
+        siblings = () if args.checks else (".agg.csv", ".attempts.csv")
+        _targets(filter(None, [args.out, args.json_out,
+                               *map(sibling, siblings)]))
         real = args.out and os.path.realpath(args.out)
         if real and os.path.dirname(real) != os.path.realpath(
                 os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"--out names the other tables next to it, so "
                              f"it may link only within its directory, not "
                              f"{args.out} -> {real}")
+        if args.emit_transcripts:
+            made = _make_dirs(args.emit_transcripts)
         if args.checks:
             rows = run_checks(args)
             table(args.out, CHECK_HEADER, rows)
@@ -632,17 +611,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if attempt_rows:
                 table(sibling(".attempts.csv"), ATTEMPT_HEADER, attempt_rows)
             if args.emit_transcripts:
-                made = _make_dirs(args.emit_transcripts)
                 files += [(os.path.join(args.emit_transcripts, name), text)
                           for name, text in transcripts]
             payload = {"runs": rows, "aggregates": aggs}
         if args.json_out:
             files.append((args.json_out, json.dumps(payload, sort_keys=True) + "\n"))
         _write_all(files)
-    except (ValueError, OSError) as exc:
+    except BaseException as exc:
         for d in made:
             with contextlib.suppress(OSError):
                 os.rmdir(d)
+        if not isinstance(exc, (ValueError, OSError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write("".join(printed))

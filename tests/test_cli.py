@@ -103,10 +103,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_a_refused_invocation_writes_nothing(tmp_path, capsys):
-    # the JSON path lies under a regular file, so the invocation is refused
-    # after the runs: no table, transcript or directory may be written, no
-    # existing output truncated, and no table printed
+def test_a_refused_invocation_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the JSON path lies under a regular file, so the invocation is refused:
+    # no table, transcript or directory may be written, no existing output
+    # truncated, and no table printed
     blocker = tmp_path / "file"
     blocker.write_text("")
     bad = blocker / "x.json"
@@ -122,20 +122,26 @@ def test_a_refused_invocation_writes_nothing(tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "file", "runs.csv.agg.csv"]
         assert agg.read_text() == "old\n"
-    # a directory in place of a table is refused before anything is written
+    # a directory in place of a table is refused before any run
+    def run_one(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
     code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
                              "--ids", "1,2", "--out", str(tmp_path / "runs.csv"),
                              "--json-out", str(tmp_path))
     assert (code, out) == (2, "")
-    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert err == (f"error: {tmp_path} must be new or a plain file with one "
+                   f"link that this user owns and may replace\n")
     assert agg.read_text() == "old\n"
     assert not (tmp_path / "runs.csv").exists()
 
 
 def test_outputs_keep_their_links_and_modes(tmp_path, capsys):
-    # a symlink, a hard-linked file and a dangling symlink are written
-    # through, and a plain file is replaced but keeps its mode, so every
-    # output ends with the bytes of a plain run in the same place
+    # a symlink and a dangling symlink are followed, and a plain file is
+    # replaced but keeps its mode, so every output ends with the bytes of a
+    # plain run in the same place; a hard-linked file is refused, since
+    # replacing it would part it from its twin
     argv = ["--protocol", "pairing", "--N", "4", "--ids", "1,2"]
     plain = tmp_path / "plain"
     plain.mkdir()
@@ -153,16 +159,21 @@ def test_outputs_keep_their_links_and_modes(tmp_path, capsys):
     (tmp_path / "runs.json").hardlink_to(twin)
     dangling = tmp_path / "dangling.json"
     dangling.symlink_to(tmp_path / "made.json")
-    for json_out in ("runs.json", "dangling.json"):
-        code, out, err = run_cli(capsys, *argv, "--out", str(link),
-                                 "--json-out", str(tmp_path / json_out))
-        assert (code, out, err) == (0, "", "")
+    shared = tmp_path / "runs.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(link),
+                             "--json-out", str(shared))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {shared} must be new or a plain file with one "
+                   f"link that this user owns and may replace\n")
+    assert twin.read_text() == "old\n"
+    code, out, err = run_cli(capsys, *argv, "--out", str(link),
+                             "--json-out", str(dangling))
+    assert (code, out, err) == (0, "", "")
     assert link.is_symlink() and dangling.is_symlink()
     assert real.read_bytes() == (plain / "runs.csv").read_bytes()
     assert agg.read_bytes() == (plain / "runs.csv.agg.csv").read_bytes()
     assert agg.stat().st_mode & 0o777 == 0o640
     expected = (plain / "runs.json").read_bytes()
-    assert twin.read_bytes() == expected
     assert (tmp_path / "made.json").read_bytes() == expected
     # a refused invocation truncates no link's target, and creates none
     bad = real / "x.json"
@@ -588,8 +599,8 @@ def test_out_must_be_a_regular_file_or_a_new_path(tmp_path, capsys,
         code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
                                  "--ids", "1,2", "--out", str(out_path))
         assert (code, out) == (2, "")
-        assert err == ("error: --out names the other tables too, so it must "
-                       f"be a regular file or a new path, not {out_path}\n")
+        assert err == (f"error: {out_path} must be new or a plain file with "
+                       f"one link that this user owns and may replace\n")
     assert [p.name for p in tmp_path.iterdir()] == ["null.csv"]
 
 
@@ -607,6 +618,51 @@ def test_an_empty_output_path_is_refused_before_any_run(option, tmp_path,
     assert err == f"error: {option} must name a path, not ''\n"
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("json_out", ["x.csv", "x.csv.agg.csv"])
+def test_two_outputs_that_name_one_file_are_refused_before_any_run(
+        json_out, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "pairing_election",
+                        lambda *a, **kw: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
+                             "--ids", "1,2", "--out", "x.csv",
+                             "--json-out", json_out)
+    assert (code, out) == (2, "")
+    assert err == f"error: {json_out} and another output name one file\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_transcript_that_names_another_output_is_refused(tmp_path, capsys):
+    # the transcript names are known only after the runs, so _write_all
+    # compares the targets of every file it writes
+    out = tmp_path / "t" / "pairing_no_cd_N4_run00000.txt"
+    code, stdout, err = run_cli(capsys, "--protocol", "pairing", "--N", "4",
+                                "--ids", "1,2", "--out", str(out),
+                                "--emit-transcripts", str(tmp_path / "t"))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {out} and another output name one file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_transcript_directory_that_is_a_file_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "pairing_election",
+                        lambda *a, **kw: calls.append(a))
+    afile = tmp_path / "afile"
+    afile.write_text("old\n")
+    code, out, err = run_cli(capsys, "--protocol", "pairing", "--N", "6",
+                             "--subsets", "all", "--emit-transcripts",
+                             str(afile), "--out", str(tmp_path / "runs.csv"))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 17] File exists: '{afile}'\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [afile]
+    assert afile.read_text() == "old\n"
 
 
 def test_out_may_link_only_within_its_directory(tmp_path, capsys,

@@ -10,10 +10,13 @@ so that other code can import it from there).  The package `__init__`
 re-exports by design and is not checked.  The benchmark's modules under
 `perfbench/` are not checked either.
 
-The same walk finds every call of `gc.disable`, `gc.enable`, `gc.freeze`
-and `gc.unfreeze` (and every `from gc import` of them) in the package:
-only `runtime.collector_paused` may make one, so pausing and promoting
-stay in one place.
+A walk that names each call's enclosing function finds every call of
+`gc.disable`, `gc.enable`, `gc.freeze` and `gc.unfreeze` (and every `from
+gc import` of them) in the package: only `runtime.collector_paused` may
+make one, so pausing and promoting stay in one place.  The same walk finds
+every call in `cli.py` that can write a file (`os.open`, `os.replace`,
+`os.rename`, or `open` with a mode that writes, appends or creates): only
+`cli._write_all` may make one, so every output is staged and renamed.
 
 Another walk keeps the package to what its callers use: each top-level
 `def`, `class` or assigned name in `src/radioleader/` is read by package
@@ -118,12 +121,9 @@ def test_package_defines_only_what_it_reads_or_exports():
     assert unread_definitions(sources, radioleader.__all__) == UNREAD_BUT_KEPT
 
 
-COLLECTOR_POLICY = {"disable", "enable", "freeze", "unfreeze"}
-
-
-def collector_calls(source: str):
-    """(line, enclosing function path, name) of every collector-policy call
-    or `from gc import`; the path is "" at module level."""
+def owned_matches(source: str, match):
+    """(line, enclosing function path, name) of every name that `match`
+    gives for a node of `source`; the path is "" at module level."""
     found = []
 
     def visit(node, owner):
@@ -131,19 +131,34 @@ def collector_calls(source: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}".lstrip("."))
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id == "gc"
-                    and child.func.attr in COLLECTOR_POLICY):
-                found.append((child.lineno, owner, child.func.attr))
-            if isinstance(child, ast.ImportFrom) and child.module == "gc":
-                found.extend((child.lineno, owner, alias.name) for alias in child.names
-                             if alias.name in COLLECTOR_POLICY)
+            found.extend((child.lineno, owner, name) for name in match(child))
             visit(child, owner)
 
     visit(ast.parse(source), "")
     return sorted(found)
+
+
+def module_calls(node, module: str, names):
+    """The names of `module` that `node` calls as `module.name(...)` or
+    imports with `from module import`."""
+    if isinstance(node, ast.ImportFrom) and node.module == module:
+        return [alias.name for alias in node.names if alias.name in names]
+    if (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == module
+            and node.func.attr in names):
+        return [node.func.attr]
+    return []
+
+
+COLLECTOR_POLICY = {"disable", "enable", "freeze", "unfreeze"}
+
+
+def collector_calls(source: str):
+    """Every collector-policy call or `from gc import` of one."""
+    return owned_matches(
+        source, lambda node: module_calls(node, "gc", COLLECTOR_POLICY))
 
 
 def test_collector_checker_names_the_enclosing_function():
@@ -171,6 +186,58 @@ def test_only_collector_paused_sets_the_collector_policy():
              for line, owner, name in collector_calls(path.read_text())]
     assert found
     assert [f for f in found if f[:2] != ("runtime", "collector_paused")] == []
+
+
+FILE_WRITES = {"open", "replace", "rename"}
+
+
+def file_writes(source: str):
+    """Every call of `os.open`, `os.replace` or `os.rename` (or `from os
+    import` of one), and every `open` whose mode is not a constant that
+    only reads."""
+    def match(node):
+        found = [f"os.{name}" for name in module_calls(node, "os", FILE_WRITES)]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if not all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                       and not set(m.value) & set("wax+") for m in modes):
+                found.append("open")
+        return found
+
+    return owned_matches(source, match)
+
+
+def test_write_checker_names_the_enclosing_function():
+    source = (
+        "import os\n"
+        "from os import replace\n"
+        "def f(path, mode):\n"
+        "    open(path); open(path, 'rb'); open(path, mode='r')\n"
+        "    open(path, 'w'); open(path, mode='a'); open(path, 'r+')\n"
+        "    os.path.exists(path); os.stat(path)\n"
+        "    def g():\n"
+        "        open(path, mode); os.rename(path, path)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        os.open(self, os.O_WRONLY)\n"
+        "open('x', 'x')\n"
+    )
+    assert file_writes(source) == [
+        (2, "", "os.replace"), (5, "f", "open"), (5, "f", "open"),
+        (5, "f", "open"), (8, "f.g", "open"), (8, "f.g", "os.rename"),
+        (11, "C.m", "os.open"), (12, "", "open"),
+    ]
+
+
+def test_only_write_all_writes_the_cli_outputs():
+    # every output goes through one staging path, so all-or-nothing and
+    # the refusals hold for each
+    found = file_writes((PACKAGE / "cli.py").read_text())
+    assert {name for _, owner, name in found if owner == "_write_all"} == {
+        "open", "os.replace"}
+    assert [f for f in found if f[1] != "_write_all"] == []
 
 
 def test_checker_flags_unused_and_honours_noqa():

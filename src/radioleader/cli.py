@@ -120,7 +120,8 @@ OPTIONS = {
           ("random",), {"type": int}),
     "trials": ("the set count (by default 20)", ("random",), (),
                {"type": int}),
-    "density": ("the density list (fractions such as 1,1/2,1/4 or 2^-3)",
+    "density": ("the density list, each piece p, p/q, a decimal or b^e in "
+                "digits of at most 4300 characters (such as 1,1/2,.25,2^-3)",
                 ("density",), ("density",), {}),
     "subsets-file": ("the set file (one set per line, ids separated by "
                      "spaces or commas)", ("file",), ("file",), {}),
@@ -174,83 +175,48 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
-_INTEGER = re.compile(r"\s*([-+]?)(\d+(?:_\d+)*)\s*")
+_MAX_LEN = 4300  # int() refuses a longer decimal string
 
-
-_MAX_DIGITS = 4300  # int() refuses a longer decimal string
-
-
-def _bounded_int(text: str, bound: int) -> int:
-    """int(text), but one of more digits than `bound` is read as bound + 1
-    or + 2 with its sign and parity: past `bound` an exponent needs only
-    those, and an id is out of range anyway (int() refuses over 4,300
-    digits)."""
-    match = _INTEGER.fullmatch(text)
-    if match is None:
-        return int(text)  # not an integer: int() names the fault
-    digits = match[2].replace("_", "").lstrip("0") or "0"
-    if len(digits) > len(str(bound)):
-        digits = str(bound + 2 - (bound + int(digits[-1])) % 2)
-    return int(match[1] + digits)
-
-
-def _digits_fit(text: str, piece: str) -> str:
-    """`text`, the part of density `piece` that int() or Fraction() reads
-    next, refused when it has more digits than int() reads (an exponent
-    past the cap is read by `_bounded_int` instead)."""
-    if sum(map(str.isdecimal, text)) > _MAX_DIGITS:
-        raise ValueError(f"density {piece} has more than {_MAX_DIGITS} digits")
-    return text
+# a density piece: p, p/q, a decimal (0.25, .25, 1.) or b^e, in digits
+_DENSITY = re.compile(r"(\d+)\^(-?\d+)|\d+(?:/\d+|\.\d*)?|\.\d+", re.ASCII)
 
 
 def _parse_density(text: str, N: int) -> List[Fraction]:
-    # base^expo with |base| >= 2 and |expo| > cap is above 1 or negative
-    # (refused), or at most 1/(2N): a one-device set, like base^-cap (cap
-    # is even, so that is positive).  Taking such a power exactly could
-    # run for minutes.  So could a decimal m·10^expo: its mantissa m has
-    # fewer than len(piece) digits on either side of the point, so past
-    # |expo| > cap + len(piece) it is outside (0, 1] or below 10^-cap
+    # b^e with b >= 2 is above 1 for every e >= 1, and at most 1/(4N^2) for
+    # every e <= -cap, a one-device set: clamping e to [-cap, 1] keeps each
+    # size and refusal without taking a power that could run for minutes
     cap = 2 * N.bit_length() + 2
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
+        match = len(piece) <= _MAX_LEN and _DENSITY.fullmatch(piece)
+        if not match:
+            raise ValueError(f"density {piece} is not p, p/q, a decimal or "
+                             f"b^e in digits, within {_MAX_LEN} characters")
         try:
-            if "^" in piece:
-                base, _, expo = piece.partition("^")
-                base = int(_digits_fit(base, piece))
-                expo = _bounded_int(expo, cap)
-                if abs(base) >= 2 and abs(expo) > cap:
-                    if expo > 0 or (base < 0 and expo % 2):
-                        raise ValueError(f"density {piece} outside (0, 1]")
-                    expo = -cap
-                out.append(Fraction(base) ** expo)
+            if match[1]:
+                base, expo = int(match[1]), int(match[2])
+                if base >= 2:
+                    expo = max(-cap, min(expo, 1))
+                c = Fraction(base) ** expo
             else:
-                decimal = _EXPONENT.search(piece)
-                limit = cap + len(piece)
-                expo = (_bounded_int(decimal[1], limit)
-                        if decimal and "/" not in piece else 0)
-                if abs(expo) > limit:
-                    c = Fraction(_digits_fit(piece[:decimal.start()], piece))
-                    if c <= 0 or expo > 0:
-                        raise ValueError(f"density {piece} outside (0, 1]")
-                    out.append(c / 10 ** limit)
-                else:
-                    out.append(Fraction(_digits_fit(piece, piece)))
+                c = Fraction(piece)
         except ZeroDivisionError:
             raise ValueError(f"density {piece} divides by zero") from None
+        if not 0 < c <= 1:
+            raise ValueError(f"density {piece} outside (0, 1]")
+        out.append(c)
     if not out:
         raise ValueError("empty density list")
-    for c in out:
-        if not (0 < c <= 1):
-            raise ValueError(f"density {c} outside (0, 1]")
     return out
 
 
 def _parse_ids(text: str, N: int) -> List[int]:
-    ids = sorted({_bounded_int(tok, N) for tok in text.replace(",", " ").split()})
+    # a token longer than int() reads is no id in 1..N
+    ids = sorted({int(tok) if len(tok) <= _MAX_LEN else 0
+                  for tok in text.replace(",", " ").split()})
     if not ids:
         raise ValueError("empty id list")
     if ids[0] < 1 or ids[-1] > N:  # before any run, as run_programs words it
@@ -585,7 +551,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.N < 1:
             raise ValueError("--N must be at least 1")
         _refuse_options(args)
-        for option in ("out", "json_out", "emit_transcripts"):
+        for option in ("out", "json_out", "emit_transcripts", "family",
+                       "subsets_file"):
             if getattr(args, option) == "":
                 raise ValueError(f"--{option.replace('_', '-')} must name a "
                                  f"path, not ''")

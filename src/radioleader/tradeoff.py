@@ -21,7 +21,6 @@ below b^(1-epsilon).
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .channel import CdModel, transmit
@@ -74,16 +73,20 @@ def choose_params(
         raise InvalidParams(f"k={k} is below ceil(log log N)={max(1, loglog)}")
     k_eff = min(k, max(1, 2 * log_n_space))
 
-    root = _integer_kth_root_ceiling(N, k_eff)  # ceil(N^(1/k))
-    if n <= root ** (1.0 - epsilon) + 1e-9:
-        b = root
-    else:
-        b = max(2, math.ceil(n ** (1.0 / (1.0 - epsilon)) - 1e-9))
-        while b ** (1.0 - epsilon) < n - 1e-9:
-            b += 1
-        while b > 2 and (b - 1) ** (1.0 - epsilon) >= n - 1e-9:
-            b -= 1
-    b = max(2, b)
+    # b is ceil(N^(1/k)), or the smallest b >= 2 with b^(1-epsilon) >= n
+    # when that is larger, found by bisection: near epsilon = 1 it is huge.
+    # Labels are drawn mod b and stored as int64, so b stops at 2^62
+    lo, hi = 2, 1 << 62
+    if hi ** (1.0 - epsilon) < n - 1e-9:
+        raise InvalidParams(f"epsilon={epsilon} needs more than 2^62 parts "
+                            f"for n={n}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** (1.0 - epsilon) >= n - 1e-9:
+            hi = mid
+        else:
+            lo = mid + 1
+    b = max(_integer_kth_root_ceiling(N, k_eff), lo)
 
     if family is None:
         family = generate_family(

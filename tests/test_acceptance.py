@@ -15,6 +15,9 @@ from functools import lru_cache
 from radioleader.channel import CdModel
 from radioleader.cli import main as cli_main
 from radioleader.dense import (
+    DenseImprovedProgram,
+    DenseSimpleProgram,
+    ExponentialSearchProgram,
     ceil_div,
     choose_dense_b,
     dense_improved_election,
@@ -41,7 +44,11 @@ from radioleader.protocols_core import (
     pairing_election,
 )
 from radioleader.runtime import ProtocolConfig, execute
-from radioleader.tradeoff import choose_params, partition_tradeoff_election
+from radioleader.tradeoff import (
+    PartitionTradeoffProgram,
+    choose_params,
+    partition_tradeoff_election,
+)
 
 from test_lowerbound import IdObliviousProgram
 
@@ -66,7 +73,8 @@ def nonempty_subsets(N):
 
 def test_criterion_1_exhaustive_strict_success():
     """Every protocol elects a leader strictly on every nonempty subset of
-    every id space up to size 10; the comparison protocols agree on min."""
+    every id space up to size 10, in every model its program class
+    declares; the comparison protocols agree on min."""
     t0 = time.time()
     runs = 0
     for N in range(1, 11):
@@ -74,24 +82,29 @@ def test_criterion_1_exhaustive_strict_success():
         fam = generate_family(N, b_part, 0.5, n_max=N)
         for V in nonempty_subsets(N):
             lo = min(V)
-            assert pairing_election(V, N).leader == lo
-            assert binary_search_election(V, N, model=CdModel.STRONG_CD).leader == lo
-            assert binary_search_election(V, N, model=CdModel.RECEIVER_CD).leader == lo
-            runs += 3
+            for model in PairingElectionProgram.models:
+                assert pairing_election(V, N, model=model).leader == lo
+                runs += 1
+            for model in BinarySearchElectionProgram.models:
+                assert binary_search_election(V, N, model=model).leader == lo
+                runs += 1
             for k in range(1, ceil_log2(N) + 1):
                 assert halving_tradeoff_election(V, N, k).leader == lo
                 runs += 1
-            rp = partition_tradeoff_election(V, fam, model=CdModel.SENDER_CD)
-            assert rp.strict_success and rp.leader in V
-            runs += 1
+            for model in PartitionTradeoffProgram.models:
+                rp = partition_tradeoff_election(V, fam, model=model)
+                assert rp.strict_success and rp.leader in V
+                runs += 1
             for bb in range(1, N + 1):
                 if len(V) > ceil_div(N, bb):
-                    rs = dense_simple_election(V, N, bb)
-                    ri = dense_improved_election(V, N, bb)
-                    assert rs.strict_success and rs.leader in V
-                    assert ri.strict_success and ri.leader in V
-                    runs += 2
-            for model in CdModel:
+                    for run, factory in (
+                            (dense_simple_election, DenseSimpleProgram),
+                            (dense_improved_election, DenseImprovedProgram)):
+                        for model in factory.models:
+                            r = run(V, N, bb, model=model)
+                            assert r.strict_success and r.leader in V
+                            runs += 1
+            for model in ExponentialSearchProgram.models:
                 re = exponential_search_election(V, N, model=model)
                 assert re.strict_success and re.leader in V
                 runs += 1

@@ -276,17 +276,18 @@ def test_explicit_ids(capsys):
     assert cols[3] == "2"
     assert cols[6] == str(ceil_log2(16) + 1)
     assert cols[8] == "true"
-    # an id past int()'s 4,300 digits is larger than any N, so it gets the
+    # a token longer than int()'s 4,300 digits, zero-padded or not, gets the
     # range refusal like any other id outside 1..N, before any run
     for protocol, ids in (("binary_search", "1,17"),
                           ("binary_search", "1," + "9" * 5000),
                           ("binary_search", "-" + "9" * 5000 + ",2"),
+                          ("binary_search", "0" * 5000 + "9,10"),
                           ("dense_simple", "8" * 5000 + "," + "9" * 5000)):
         code, out, err = run_cli(capsys, "--protocol", protocol,
                                  "--N", "16", f"--ids={ids}")
         assert (code, out, err) == (2, "", "error: device ids must lie in 1..16\n")
     code, out, _ = run_cli(capsys, "--protocol", "binary_search", "--N", "16",
-                           "--ids", "0" * 5000 + "9,10")
+                           "--ids", "0" * 4299 + "9,10")
     assert code == 0 and body_rows(out)[0] == rows
 
 
@@ -360,46 +361,53 @@ def test_huge_density_exponents_stay_cheap_and_exact():
     start = time.perf_counter()
     assert sizes(8, "10^-20000000") == [1]
     assert time.perf_counter() - start < 2  # the exact power takes tens of seconds
-    # an odd power of a negative base is negative, however large
-    for density in ("-1^-99999", "-2^-99999999", "-3^99999999", "7^99999999"):
-        assert sizes(8, density) == "refused"
-    assert sizes(8, "-2^-99999998") == [1]
-    # a decimal exponent is capped the same way
+    # an exponent of a 4,300-character piece is read and clamped at once
     start = time.perf_counter()
-    assert sizes(8, "1e-40000000") == [1]
-    assert time.perf_counter() - start < 2  # the exact decimal takes 93 s
-    for density in ("1e400000", "-1e-40000000", "2^" + "9" * 5000):
-        with pytest.raises(ValueError, match=re.escape(f"density {density} outside (0, 1]")):
-            _parse_density(density, 8)
-    # an exponent past int()'s 4,300 digits is read from its sign and parity
-    for density in ("2^-" + "9" * 5000, "1e-" + "9" * 5000):
-        assert sizes(8, density) == [1]
-    assert sizes(8, "-2^-" + "9" * 5000) == "refused"
-    assert sizes(8, "2^-" + "0" * 5000 + "3") == [1]  # 1/8 of 8
-    # a base, mantissa or fraction past 4,300 digits is refused with the
-    # CLI's message before int() or Fraction() reads it
-    for density in ("9" * 5000 + "^-1", "0." + "0" * 5000 + "1",
-                    "1/" + "9" * 5000, "0" * 5000 + "1e-3",
-                    "1e-" + "0" * 5000 + "3"):
+    assert sizes(2**16, "2^-" + "9" * 4297) == [1]
+    assert sizes(8, "1^" + "9" * 4298) == [8]
+    assert sizes(8, "7^" + "9" * 4298) == "refused"
+    assert time.perf_counter() - start < 2
+    # only p, p/q, a decimal or b^e in digits, of at most 4,300 characters:
+    # no sign, negative base, exponent notation, underscore or inner space,
+    # refused with the CLI's message before int() or Fraction() reads it
+    for density in ("-2^-99999998", "-1^-99999", "+1/2", "-1/2", "2^+0",
+                    "1e-40000000", "2.5e-1", "1E-2", "125e-3", "1_0/20",
+                    "1 / 2", "2 ^-3", "2^" + "9" * 5000, "2^-" + "9" * 5000,
+                    "1e-" + "9" * 5000, "2^-" + "0" * 5000 + "3",
+                    "9" * 5000 + "^-1", "0." + "0" * 5000 + "1",
+                    "1/" + "9" * 5000, "0" * 5000 + "1e-3"):
         with pytest.raises(ValueError, match=re.escape(
-                f"density {density} has more than 4300 digits")):
+                f"density {density} is not p, p/q, a decimal or b^e in "
+                f"digits, within 4300 characters")):
             _parse_density(density, 8)
-    for density in ("0.5", ".25", "2.5e-1", "1E-2", "125e-3", "1/2"):
+    for density in ("0.5", ".25", "1.", "0.250", "1/2", "04/16"):
         assert _parse_density(density, 8) == [Fraction(density)], density
 
-    # every size and refusal matches the exact power
-    def exact(N, base, expo):
+    # every size and refusal matches the exact value
+    def exact(N, value):
         try:
-            c = Fraction(base) ** expo
+            c = value()
         except ZeroDivisionError:
             return "refused"
         return [max(1, round(c * N))] if 0 < c <= 1 else "refused"
 
     for N in (1, 2, 3, 7, 8, 100, 1000):
-        for base in (-10, -3, -2, -1, 0, 1, 2, 3, 10):
+        for base in range(11):
             for expo in range(-50, 51):
-                assert sizes(N, f"{base}^{expo}") == exact(N, base, expo), (
-                    N, base, expo)
+                assert sizes(N, f"{base}^{expo}") == exact(
+                    N, lambda: Fraction(base) ** expo), (N, base, expo)
+        for p in range(13):
+            for q in range(13):
+                assert sizes(N, f"{p}/{q}") == exact(
+                    N, lambda: Fraction(p, q)), (N, p, q)
+        for k in range(0, 1001, 7):
+            for decimal in (f"0.{k:03d}", f".{k}", f"{k}.", f"{k / 1000}"):
+                assert sizes(N, decimal) == exact(
+                    N, lambda: Fraction(decimal)), (N, decimal)
+    # a negative base is refused, even where its power lies in (0, 1]
+    for base in range(-10, 0):
+        for expo in range(-50, 51):
+            assert sizes(8, f"{base}^{expo}") == "refused", (base, expo)
 
 
 def test_tradeoff_with_family_file(tmp_path, capsys):
@@ -431,6 +439,38 @@ def test_an_empty_family_file_is_refused(tmp_path, capsys):
                              "--family", str(empty), "--ids", "1,3")
     assert (code, out) == (2, "")
     assert err == "error: a family file starts with a header of 8 fields\n"
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--family", ("--protocol", "tradeoff", "--N", "16", "--n", "2", "--k",
+                  "4", "--epsilon", "0.5", "--ids", "3,11")),
+    ("--subsets-file", ("--protocol", "pairing", "--N", "4", "--subsets",
+                        "file")),
+])
+def test_an_empty_input_path_is_refused_before_any_run(option, argv, tmp_path,
+                                                       capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family was chosen or a run started")
+
+    monkeypatch.setattr(cli, "choose_params", refuse)
+    monkeypatch.setattr(cli, "_run_one", refuse)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, option, "", "--out", "runs.csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must name a path, not ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("epsilon", ["0.99", "0.999999"])
+def test_an_epsilon_that_needs_too_many_parts_is_refused_at_once(epsilon,
+                                                                 capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--protocol", "tradeoff", "--N", "16",
+                             "--n", "2", "--k", "4", "--epsilon", epsilon,
+                             "--ids", "3,11")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: epsilon={epsilon} needs more than 2^62 parts for n=2\n"
 
 
 def test_tradeoff_needs_k_and_epsilon(capsys):

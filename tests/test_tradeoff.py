@@ -74,6 +74,9 @@ def test_choose_params_rejects_bad_inputs():
         choose_params(16, 17, 4, 0.5)
     with pytest.raises(InvalidParams):
         choose_params(2**16, 2, 3, 0.5)  # needs k >= ceil(log log N) = 4
+    # b^(1-epsilon) >= 2 needs b >= 2^100 here, past the int64 labels
+    with pytest.raises(InvalidParams, match="more than 2"):
+        choose_params(16, 2, 4, 0.99)
     choose_params(2**16, 2, 4, 0.5, verify_mode="sampled", verify_trials=2000)
 
 

@@ -20,16 +20,16 @@ devices never learn anything.
 and makes one pass over them that counts transmitters and keeps the last
 payload seen.  It returns a plain pair: what every listener hears and what
 every transmitter hears.  Each is the module's SILENCE, COLLISION or
-NO_FEEDBACK, or one `received(payload)` shared by the whole slot.  There
-is no per-device map in or out; a caller hands each device the feedback
-of its action's kind.  Both are always a Feedback, except for a lone
-transmitter that is the slot's only offer under receiver_cd or no_cd:
-nobody can hear it, so the listener feedback is None instead of a
-`received` copy.  87,626 of the 213,090 slots of the benchmark's sparse
-exponential-search workload (seed 1) are such slots, and building the copy
-anyway made those runs about 3% slower.  The model is matched by identity
-against module constants, not through the `sender_side` property, which
-costs a method call.  The runtime calls it once per occupied slot.
+NO_FEEDBACK, or one `received(payload)` shared by the whole slot; a caller
+hands each device the feedback of its action's kind.  The model is matched
+by identity, not through the `sender_side` property, which costs a call,
+except that a slot's only offer follows the lone-slot rule, which the
+runtime also reads to run such slots without a call: a listen hears
+LONE_LISTEN (SILENCE), a transmit LONE_TRANSMIT[model], which is
+NO_FEEDBACK, or its own message where None.
+Nobody hears a copy, so the listener feedback is None: 87,626 of the
+213,090 slots of the benchmark's `sparse_search` (seed 1) hold such a
+transmitter, and building the copy made those runs about 3% slower.
 
 Action and Feedback are frozen slotted dataclasses, so equality, hash,
 repr and FrozenInstanceError come from the dataclass.  An Action checks
@@ -129,6 +129,10 @@ _SENDER_CD = CdModel.SENDER_CD
 _RECEIVER_CD = CdModel.RECEIVER_CD
 _SILENT = (SILENCE, NO_FEEDBACK)
 
+# the lone-slot rule (module docstring); None stands for received(payload)
+LONE_LISTEN = SILENCE
+LONE_TRANSMIT = {m: None if m.sender_side else NO_FEEDBACK for m in CdModel}
+
 
 def resolve_slot(
     model: CdModel, offers: Sequence[Tuple[int, Action]]
@@ -139,6 +143,9 @@ def resolve_slot(
     depends only on the model and the actions.  The listener feedback is
     None only when no listener can exist (module docstring).
     """
+    if len(offers) == 1 and offers[0][1].kind == "transmit":  # lone-slot rule
+        fb = LONE_TRANSMIT[model] or received(offers[0][1].payload)
+        return (None if fb is NO_FEEDBACK else fb), fb
     c = 0
     payload = None
     for _, action in offers:
@@ -149,11 +156,8 @@ def resolve_slot(
     if c == 0:
         return _SILENT
     if c == 1:
-        if model is _STRONG_CD or model is _SENDER_CD:
-            fb = received(payload)
-            return fb, fb
-        # a lone transmitter with nobody else in the slot needs no copy
-        return (received(payload) if len(offers) > 1 else None), NO_FEEDBACK
+        fb = received(payload)
+        return fb, (fb if model is _STRONG_CD or model is _SENDER_CD else NO_FEEDBACK)
     if model is _STRONG_CD:
         return COLLISION, COLLISION
     if model is _SENDER_CD:

@@ -61,6 +61,7 @@ import numpy as np
 
 C_CONST = 8  # the constant c of family_size's K = ceil((c / epsilon) log_b N)
 EXHAUSTIVE_BUDGET = 10**7  # most subsets verify_family walks exhaustively
+LABEL_BUDGET = 1 << 25  # most labels a seeded family draws (about 25 B each)
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _BATCH_IDS = 1 << 16  # ids per sampled batch, so memory stays flat in n_max

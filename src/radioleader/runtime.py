@@ -44,30 +44,28 @@ Recording takes three or four appends per event instead of one tuple:
 The schedule holds one bucket of offers per occupied round and one heap
 entry per such round, so a slot costs one heap operation however many
 devices share it.  Most slots of a sparse run hold one offer, though, and
-many are the very next slot of the device resumed last, so the slot loop
-holds back the one new offer whose round is earlier than the earliest
-scheduled round and than every other offer of the slot so far; that
-round is kept in a local, so the test costs one int compare per offer.
-An offer for the same round or an earlier one sends the held offer to
-the schedule.  If it is still held when the slot ends, it is the next
-slot and runs at once, with no bucket dict or heap operation.
+most of those are the next slot of the device resumed last.  So the last
+device of a slot runs ahead: while its next offer is for a round earlier
+than the heap's top when it offers (the slot's earlier devices may have
+scheduled earlier rounds), that round holds only this offer and runs at
+once under channel's lone-slot rule, with no bucket, heap operation or
+`resolve_slot` call.  Every other offer is scheduled, and a scheduled
+slot is resolved by one `resolve_slot` call over its offers, sorted into
+device order by a plain `list.sort()`: a device has at most one
+outstanding offer, so the sort never compares two actions.
 
-A slot is resolved by one `resolve_slot` call over its offers, held-back
-ones included, sorted into ascending device order by a plain
-`list.sort()` (a bucket of one offer needs no sort): a device has at most
-one outstanding offer, so the sort never compares two actions.
 `resolve_slot` returns what the slot's listeners hear and what its
-transmitters hear.  Then, device by device in that order, the executor
-picks the feedback of the device's action kind, records the event,
-resumes the program through its `send` (bound once per run), and checks
-and schedules its next offer right there in the slot loop.  An offer must be a plain `tuple` of an `int` round and an
-`Action` (exact types, so a bool round is refused) for a round after the
-device's previous one and inside the schedule; the loop tests that inline
-and raises what `offer_error` names.  A program's first offer takes the
-same path: the run opens with a round -1 in which every device is resumed
-with None.  Device ids are plain ints: ids that `operator.index` accepts
-are converted, and bools and other non-integers are rejected before the
-run starts.
+transmitters hear.  Then, device by device, the executor picks the
+feedback of the device's action kind, records the event, resumes the
+program through its `send` (bound once per run), and checks and
+schedules its next offer right there in the slot loop.  An offer must be
+a plain `tuple` of an `int` round and an `Action` (exact types, so a bool
+round is refused) for a round after the device's previous one and inside
+the schedule; the loop tests that inline and raises what `offer_error`
+names.  A program's first offer takes the same path: the run opens with
+a round -1 in which every device is resumed with None.  Device ids are
+plain ints: ids that `operator.index` accepts are converted, and bools
+and other non-integers are rejected before the run starts.
 
 The cyclic garbage collector is paused by one context manager,
 `collector_paused`, around a run and around a whole CLI sweep (every run
@@ -139,6 +137,8 @@ import numpy as np
 from .channel import (
     COLLISION,
     LISTEN,
+    LONE_LISTEN,
+    LONE_TRANSMIT,
     NO_FEEDBACK,
     SILENCE,
     Action,
@@ -579,73 +579,65 @@ def run_programs(
         bucket = [(pos, None) for pos in range(len(ids))]
         listener = transmitter = None
         listen_code = transmit_code = 0
+        lone_listen_code = _FEEDBACK_CODE[LONE_LISTEN.kind]
+        lone_transmitter = LONE_TRANSMIT[model]
+        lone_transmit_code = TRANSMIT | (_FEEDBACK_CODE[lone_transmitter.kind]
+                                         if lone_transmitter else _RECEIVED)
         add_round = transcript.event_rounds.append
         add_device = transcript.event_devices.append
         add_code = transcript.event_codes.append
         add_payload = transcript.event_payloads.append
         while True:
-            # the held-back offer, if any, is for round `first`, and no
-            # other offer is; otherwise `first` is the earliest scheduled
-            # round (module docstring)
-            held = None
-            first = rounds[0] if rounds else total_rounds
+            last = bucket[-1][0]
             for pos, action in bucket:
-                if action is None:
-                    fb = None
-                elif action.kind == "listen":
-                    fb = listener
-                    add_round(rnd)
-                    add_device(pos)
-                    add_code(listen_code)
-                    if listen_code == _RECEIVED:
-                        add_payload(fb.payload)
-                else:
-                    fb = transmitter
-                    add_round(rnd)
-                    add_device(pos)
-                    add_code(transmit_code)
-                    add_payload(action.payload)
-                try:
-                    item = sends[pos](fb)
-                except StopIteration:
-                    continue
-                if (
-                    type(item) is not tuple
-                    or len(item) != 2
-                    or type(item[0]) is not int
-                    or type(item[1]) is not Action
-                ):
-                    raise offer_error(ids[pos], item, rnd, total_rounds)
-                nxt, offer = item
-                if nxt <= rnd or nxt >= total_rounds:
-                    raise offer_error(ids[pos], item, rnd, total_rounds)
-                if nxt < first:
-                    if held is not None:
-                        slots[first] = [held]
-                        heappush(rounds, first)
-                    held = (pos, offer)
-                    first = nxt
-                    continue
-                if nxt == first and held is not None:
-                    slots[first] = [held]
-                    heappush(rounds, first)
-                    held = None
-                offers = slots.get(nxt)
-                if offers is None:
-                    slots[nxt] = [(pos, offer)]
-                    heappush(rounds, nxt)
-                else:
-                    offers.append((pos, offer))
-            if held is not None:
-                rnd = first
-                bucket = [held]
-            elif rounds:
-                rnd = heappop(rounds)
-                bucket = slots.pop(rnd)
-                if len(bucket) > 1:
-                    bucket.sort()
-            else:
+                while True:
+                    if action is None:
+                        fb = None
+                    elif action.kind == "listen":
+                        fb = listener
+                        add_round(rnd)
+                        add_device(pos)
+                        add_code(listen_code)
+                        if listen_code == _RECEIVED:
+                            add_payload(fb.payload)
+                    else:
+                        fb = transmitter
+                        add_round(rnd)
+                        add_device(pos)
+                        add_code(transmit_code)
+                        add_payload(action.payload)
+                    try:
+                        item = sends[pos](fb)
+                    except StopIteration:
+                        break
+                    if (type(item) is not tuple or len(item) != 2
+                            or type(item[0]) is not int or type(item[1]) is not Action):
+                        raise offer_error(ids[pos], item, rnd, total_rounds)
+                    nxt, action = item
+                    if nxt <= rnd or nxt >= total_rounds:
+                        raise offer_error(ids[pos], item, rnd, total_rounds)
+                    if pos == last and (not rounds or nxt < rounds[0]):
+                        # round nxt holds only this offer (module docstring)
+                        rnd = nxt
+                        if action.kind == "listen":
+                            listener, listen_code = LONE_LISTEN, lone_listen_code
+                        else:
+                            transmitter = lone_transmitter or received(action.payload)
+                            transmit_code = lone_transmit_code
+                        continue
+                    offers = slots.get(nxt)
+                    if offers is None:
+                        slots[nxt] = [(pos, action)]
+                        heappush(rounds, nxt)
+                    else:
+                        offers.append((pos, action))
+                    break
+            if not rounds:
                 break
+            rnd = heappop(rounds)
+            bucket = slots.pop(rnd)
+            if len(bucket) > 1:
+                bucket.sort()
             listener, transmitter = resolve_slot(model, bucket)
             if listener is not None:
                 listen_code = _FEEDBACK_CODE[listener.kind]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .channel import CdModel, transmit
-from .partitions import PartitionFamily, generate_family
+from .partitions import LABEL_BUDGET, PartitionFamily, family_size, generate_family
 from .protocols_core import ceil_log2, pairing_tournament_phase
 from .runtime import (
     DeviceProgram,
@@ -89,6 +89,9 @@ def choose_params(
     b = max(_integer_kth_root_ceiling(N, k_eff), lo)
 
     if family is None:
+        if family_size(N, b, epsilon) * N > LABEL_BUDGET:
+            raise InvalidParams(f"a seeded family for N={N}, b={b} would draw more than "
+                                f"{LABEL_BUDGET:,} labels (ROADMAP item 11)")
         family = generate_family(
             N,
             b,

@@ -473,6 +473,18 @@ def test_an_epsilon_that_needs_too_many_parts_is_refused_at_once(epsilon,
     assert err == f"error: epsilon={epsilon} needs more than 2^62 parts for n=2\n"
 
 
+def test_a_family_over_the_label_budget_is_refused_at_once(capsys):
+    # K * N = 1.28e15 labels: refused before any draw, not by numpy
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--protocol", "tradeoff",
+                             "--N", "10000000000000", "--n", "2", "--k", "8",
+                             "--epsilon", "0.5", "--ids", "1,2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a seeded family for N=10000000000000, b=43 ")
+    assert "ROADMAP item 11" in err and err.count("\n") == 1
+
+
 def test_tradeoff_needs_k_and_epsilon(capsys):
     code, _, err = run_cli(capsys, "--protocol", "tradeoff", "--N", "16",
                            "--ids", "3,11")

@@ -26,6 +26,7 @@ from radioleader.channel import (
     CdModel,
     Feedback,
     received,
+    resolve_slot,
     transmit,
 )
 from radioleader.cli import PROGRAMS
@@ -621,20 +622,42 @@ scripts = st.dictionaries(
 
 @settings(max_examples=200, deadline=None)
 @given(plan=scripts, model=st.sampled_from(list(CdModel)))
-# device 1's held offer for round 5 is displaced by device 2's for round 3
+# device 1's round 5 is scheduled, and device 2, last in round 0, runs
+# ahead through round 3 before it
 @example(plan={1: {0: "transmit", 5: "listen"}, 2: {0: "listen", 3: "transmit"},
                3: {8: "listen"}}, model=CdModel.STRONG_CD)
-# device 1's held offer for round 2 is joined by device 2's: easy success
+# device 2, last in round 0, joins device 1's scheduled round 2: easy success
 @example(plan={1: {0: "listen", 2: "listen"}, 2: {0: "listen", 2: "transmit"}},
          model=CdModel.NO_CD)
-# device 2's offer for round 4 falls between device 1's held round 1 and
-# the earliest scheduled round 9
+# device 2's round 4 is scheduled after device 1's round 1; device 1, alone
+# in round 1, runs ahead through round 2, which is earlier than round 4
 @example(plan={1: {0: "listen", 1: "transmit", 2: "listen"},
                2: {0: "listen", 4: "transmit"}, 3: {9: "listen"}},
          model=CdModel.RECEIVER_CD)
-# device 1 runs rounds 0-3 as lone slots, then meets device 2 in round 7
+# device 1, last in round 0, runs ahead through rounds 1-3, then joins
+# device 2's round 7
 @example(plan={1: {0: "transmit", 1: "transmit", 2: "listen", 3: "listen",
                    7: "listen"}, 2: {7: "transmit"}},
+         model=CdModel.SENDER_CD)
+# device 2, last of the two offers of round 0, runs ahead through the lone
+# rounds 1-3, each earlier than device 1's round 5
+@example(plan={1: {0: "listen", 5: "listen"},
+               2: {0: "transmit", 1: "transmit", 2: "listen", 3: "transmit"}},
+         model=CdModel.STRONG_CD)
+# device 1 offers round 4, the earliest scheduled one; device 2, last in
+# round 0, then offers round 2, earlier still, and runs it ahead
+@example(plan={1: {0: "listen", 4: "transmit"},
+               2: {0: "listen", 2: "listen", 6: "transmit"}, 3: {9: "listen"}},
+         model=CdModel.RECEIVER_CD)
+# device 2 runs ahead through rounds 1 and 2 and stops at round 4, which
+# device 1 already holds: easy success there
+@example(plan={1: {0: "transmit", 4: "listen"},
+               2: {0: "listen", 1: "listen", 2: "transmit", 4: "transmit"}},
+         model=CdModel.NO_CD)
+# device 2, last in round -1, runs ahead through rounds 0-3 before device
+# 1's round 5
+@example(plan={1: {5: "listen"},
+               2: {0: "transmit", 1: "listen", 3: "transmit"}},
          model=CdModel.SENDER_CD)
 def test_scheduler_matches_reference_order(plan, model):
     # scripted devices skip rounds and share rounds; the event-driven
@@ -652,6 +675,33 @@ def test_scheduler_matches_reference_order(plan, model):
     assert report.ledger.counts == counts
     assert report.easy_success == easy
     assert report.verdicts == verdicts
+
+
+def test_a_lone_device_runs_ahead_without_the_schedule(monkeypatch):
+    # every slot of a one-device run holds one offer, so the device runs
+    # ahead through all of them: no round is pushed and no slot resolved
+    calls = []
+    push, resolve = runtime.heappush, runtime.resolve_slot
+    monkeypatch.setattr(runtime, "heappush",
+                        lambda *args: calls.append("push") or push(*args))
+    monkeypatch.setattr(runtime, "resolve_slot",
+                        lambda *args: calls.append("resolve") or resolve(*args))
+    slots = [(rnd, transmit(3) if rnd % 3 else LISTEN) for rnd in range(0, 20, 2)]
+    for model in CdModel:
+        report = execute(make_script({3: slots}, length=20), [3], cfg(4, model))
+        assert len(report.transcript.events) == len(slots)
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", list(CdModel))
+def test_lone_rule_matches_resolve_slot(model):
+    # what the executor hands a run-ahead offer, read from the rule it
+    # reads, is what resolve_slot gives a slot of that one offer
+    listener, _ = resolve_slot(model, [(0, LISTEN)])
+    assert runtime.LONE_LISTEN is listener
+    lone = runtime.LONE_TRANSMIT[model]
+    _, transmitter = resolve_slot(model, [(0, transmit(7))])
+    assert transmitter == (received(7) if lone is None else lone)
 
 
 # --- golden transcripts -----------------------------------------------------

@@ -2,8 +2,14 @@ import itertools
 
 import pytest
 
+from radioleader import partitions
 from radioleader.channel import CdModel
-from radioleader.partitions import PartitionFamily, generate_family
+from radioleader.partitions import (
+    LABEL_BUDGET,
+    PartitionFamily,
+    family_size,
+    generate_family,
+)
 from radioleader.protocols_core import ceil_log2, pairing_level_len
 from radioleader.runtime import ProtocolConfig, execute
 from radioleader.tradeoff import (
@@ -78,6 +84,15 @@ def test_choose_params_rejects_bad_inputs():
     with pytest.raises(InvalidParams, match="more than 2"):
         choose_params(16, 2, 4, 0.99)
     choose_params(2**16, 2, 4, 0.5, verify_mode="sampled", verify_trials=2000)
+
+
+def test_choose_params_refuses_a_family_over_the_label_budget(monkeypatch):
+    # the largest seeded family of the suite, N = 2^16 with b = 4, holds
+    # K * N = 128 * 2^16 labels, a quarter of the budget
+    assert family_size(2**16, 4, 0.5) * 2**16 * 4 <= LABEL_BUDGET
+    monkeypatch.setattr(partitions, "_draw_partitions", None)  # no draw
+    with pytest.raises(InvalidParams, match="ROADMAP item 11"):
+        choose_params(2**30, 2, 8, 0.5)
 
 
 def test_chosen_b_satisfies_density_precondition():

@@ -22,14 +22,15 @@ payload seen.  It returns a plain pair: what every listener hears and what
 every transmitter hears.  Each is the module's SILENCE, COLLISION or
 NO_FEEDBACK, or one `received(payload)` shared by the whole slot; a caller
 hands each device the feedback of its action's kind.  The model is matched
-by identity, not through the `sender_side` property, which costs a call,
-except that a slot's only offer follows the lone-slot rule, which the
-runtime also reads to run such slots without a call: a listen hears
-LONE_LISTEN (SILENCE), a transmit LONE_TRANSMIT[model], which is
-NO_FEEDBACK, or its own message where None.
-Nobody hears a copy, so the listener feedback is None: 87,626 of the
-213,090 slots of the benchmark's `sparse_search` (seed 1) hold such a
-transmitter, and building the copy made those runs about 3% slower.
+by identity, not through the `sender_side` property, which costs a call.
+
+A slot with one offer never reaches `resolve_slot`: the runtime runs it
+under the lone-slot rule, which it reads once per run.  A lone listen
+hears LONE_LISTEN (SILENCE), and a lone transmit LONE_TRANSMIT[model]:
+NO_FEEDBACK, or its own message where None.  Nobody listens in such a
+slot, so no listener feedback is built for it.  Most slots of a sparse run
+are lone: 169,932 of the 213,090 slots of the benchmark's `sparse_search`
+at seed 1.
 
 Action and Feedback are frozen slotted dataclasses, so equality, hash,
 repr and FrozenInstanceError come from the dataclass.  An Action checks
@@ -136,16 +137,12 @@ LONE_TRANSMIT = {m: None if m.sender_side else NO_FEEDBACK for m in CdModel}
 
 def resolve_slot(
     model: CdModel, offers: Sequence[Tuple[int, Action]]
-) -> Tuple[Optional[Feedback], Feedback]:
+) -> Tuple[Feedback, Feedback]:
     """Resolve one slot: (listener feedback, transmitter feedback).
 
     Pure and total: any (device, action) pairs are accepted, and the result
-    depends only on the model and the actions.  The listener feedback is
-    None only when no listener can exist (module docstring).
+    depends only on the model and the actions.
     """
-    if len(offers) == 1 and offers[0][1].kind == "transmit":  # lone-slot rule
-        fb = LONE_TRANSMIT[model] or received(offers[0][1].payload)
-        return (None if fb is NO_FEEDBACK else fb), fb
     c = 0
     payload = None
     for _, action in offers:

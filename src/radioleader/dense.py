@@ -195,7 +195,8 @@ def _block_walk(cid: int, space: int, b: int, base: int, block_len, block):
         hi = min(space, lo + b - 1)
         first = base + (i - 1) * span  # first round of block i
         r, s = yield from block(cid, i, lo, hi, first, r, s)
-        handoff = first + block_len(hi - lo + 1) - 1
+        # only the last block may be narrower than b
+        handoff = first + (span if hi - lo + 1 == b else block_len(hi - lo + 1)) - 1
         if r == i:
             yield (handoff, transmit(s))
         elif r == i + 1:
@@ -203,7 +204,7 @@ def _block_walk(cid: int, space: int, b: int, base: int, block_len, block):
             if fb.kind == "received":
                 s = fb.payload
         if i == home:
-            visits += [j for j in sorted({r - 1, r}) if home < j <= nblocks]
+            visits += [j for j in (r - 1, r) if home < j <= nblocks]
     return r - nblocks if r >= nblocks + 1 else None
 
 

@@ -17,7 +17,8 @@ implementations at desk scale:
     history with at most k non-idle steps touches <= 2^k distinct slots.
 
 Both replays drive one program by hand, refusing what `run_programs`
-refuses: each offer is checked by `runtime.offer_error`.
+refuses: each offer is tested inline, as the executor tests it, and a
+refused one raises what `runtime.offer_error` names.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .channel import COLLISION, NO_FEEDBACK, SILENCE, Feedback
+from .channel import COLLISION, NO_FEEDBACK, SILENCE, Action, Feedback
 from .runtime import ProtocolConfig, offer_error
 
 # Feedback styles for the adversarial channel that never delivers a message.
@@ -56,10 +57,12 @@ def _replay(program, length: int):
             item = send(fb)
         except StopIteration:
             return
-        error = offer_error(program.device_id, item, rnd, length)
-        if error is not None:
-            raise error
-        rnd = item[0]
+        if type(item) is not tuple or len(item) != 2:
+            raise offer_error(program.device_id, item, rnd, length)
+        nxt, action = item
+        if type(nxt) is not int or type(action) is not Action or not rnd < nxt < length:
+            raise offer_error(program.device_id, item, rnd, length)
+        rnd = nxt
         fb = yield item
 
 

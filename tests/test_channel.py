@@ -183,16 +183,6 @@ def test_resolve_slot_matches_reference(actions, model):
         assert (got.kind, got.payload) == (fb.kind, fb.payload), (model, dev)
 
 
-def test_lone_transmitter_alone_gets_no_listener_copy():
-    # nobody can hear it, so only the sender-side models build a copy
-    for model in CdModel:
-        listener, transmitter = resolve_slot(model, [(4, transmit(9))])
-        if model.sender_side:
-            assert listener == transmitter == received(9)
-        else:
-            assert (listener, transmitter) == (None, NO_FEEDBACK)
-
-
 PAYLOADS = st.one_of(st.integers(0, 1 << 40),
                      st.lists(st.integers(0, 1 << 20), max_size=5).map(tuple))
 

@@ -31,6 +31,7 @@ from radioleader.channel import (
 )
 from radioleader.cli import PROGRAMS
 from radioleader.dense import (
+    DenseImprovedProgram,
     census,
     dense_improved_election,
     dense_simple_election,
@@ -557,7 +558,8 @@ def test_runs_build_no_slot_object_through_its_init(name, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("won, rank", [(False, None), (True, 3)])
+@pytest.mark.parametrize("won, rank",
+                         [(False, None), (True, None), (False, 2), (True, 3)])
 def test_finish_matches_a_dataclass_built_verdict(won, rank):
     program = DeviceProgram(1, cfg(4))
     assert (program.won, program.rank, program.leader_id) == (False, None, None)
@@ -568,6 +570,21 @@ def test_finish_matches_a_dataclass_built_verdict(won, rank):
     assert repr(fast) == repr(slow)
     with pytest.raises(FrozenInstanceError):
         fast.rank = 0
+    # a device that neither won nor ranks gets the one shared verdict
+    shared = DeviceProgram(2, cfg(4)).finish()
+    assert (fast is shared) == (not won and rank is None)
+
+
+def test_dense_walk_verdicts_match_dataclass_built_ones():
+    # a dense walk leaves a winner, ranked devices and unranked ones
+    ids = random.Random(3).sample(range(1, 65), 20)
+    report, programs = run_programs(DenseImprovedProgram, ids,
+                                    cfg(64, b=8))
+    built = {dev: Verdict(is_leader=prog.won, rank=prog.rank)
+             for dev, prog in programs.items()}
+    assert report.verdicts == built
+    ranks = [v.rank for v in built.values()]
+    assert report.strict_success and None in ranks and 2 in ranks
 
 
 @pytest.mark.parametrize("name", GARBAGE_RUNS)
@@ -659,6 +676,17 @@ scripts = st.dictionaries(
 @example(plan={1: {5: "listen"},
                2: {0: "transmit", 1: "listen", 3: "transmit"}},
          model=CdModel.SENDER_CD)
+# devices 1 and 2, not last in round 0, schedule rounds 3 and 4, which
+# hold one offer each when popped: a lone transmit that hears its own
+# message, then a lone listen
+@example(plan={1: {0: "listen", 3: "transmit"}, 2: {0: "listen", 4: "listen"},
+               3: {0: "transmit", 6: "listen"}},
+         model=CdModel.STRONG_CD)
+# the same under a receiver-side model: device 1's scheduled round 2 is a
+# lone listen, device 2's round 5 a lone transmit that hears nothing
+@example(plan={1: {0: "transmit", 2: "listen"}, 2: {0: "listen", 5: "transmit"},
+               3: {0: "listen", 7: "transmit"}},
+         model=CdModel.RECEIVER_CD)
 def test_scheduler_matches_reference_order(plan, model):
     # scripted devices skip rounds and share rounds; the event-driven
     # scheduler must resolve and record them as the round-by-round loop does
@@ -693,10 +721,38 @@ def test_a_lone_device_runs_ahead_without_the_schedule(monkeypatch):
     assert calls == []
 
 
+def test_resolve_slot_sees_only_shared_slots(monkeypatch):
+    # a round that holds one offer, run ahead or popped from the schedule,
+    # takes the lone-slot rule: resolve_slot gets two offers or more
+    sizes, popped = [], []
+    pop, resolve = runtime.heappop, runtime.resolve_slot
+    monkeypatch.setattr(runtime, "heappop",
+                        lambda heap: popped.append(1) or pop(heap))
+    monkeypatch.setattr(runtime, "resolve_slot",
+                        lambda model, offers: sizes.append(len(offers))
+                        or resolve(model, offers))
+    N = 33
+    family = choose_params(N, 2, GOLDEN_TRADEOFF_K[N], 0.5,
+                           family=_golden_family(N))
+    rng = random.Random(11)
+    for cls in PROGRAMS.values():
+        for model in cls.models:
+            config = ProtocolConfig(model=model, N=N, k=2, b=4, family=family)
+            for n in (1, 2, 5, 12, N):
+                ids = rng.sample(range(1, N + 1), n)
+                report = execute(cls, ids, config)
+                events, _, _, verdicts = reference_schedule(cls, ids, config)
+                assert report.transcript.events == events
+                assert report.verdicts == verdicts
+    assert min(sizes) >= 2
+    # some popped rounds held one offer and were not resolved
+    assert len(popped) > len(sizes)
+
+
 @pytest.mark.parametrize("model", list(CdModel))
 def test_lone_rule_matches_resolve_slot(model):
-    # what the executor hands a run-ahead offer, read from the rule it
-    # reads, is what resolve_slot gives a slot of that one offer
+    # what the executor hands a lone offer, run ahead or popped, read from
+    # the rule it reads, is what resolve_slot gives a slot of that one offer
     listener, _ = resolve_slot(model, [(0, LISTEN)])
     assert runtime.LONE_LISTEN is listener
     lone = runtime.LONE_TRANSMIT[model]

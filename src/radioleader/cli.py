@@ -214,8 +214,10 @@ def _parse_density(text: str, N: int) -> List[Fraction]:
 
 
 def _parse_ids(text: str, N: int) -> List[int]:
-    # a token longer than int() reads is no id in 1..N
-    ids = sorted({int(tok) if len(tok) <= _MAX_LEN else 0
+    # a token of anything but ASCII digits (a sign, an underscore, another
+    # script's digits), or longer than int() reads, is no id in 1..N
+    ids = sorted({int(tok) if len(tok) <= _MAX_LEN and tok.isascii()
+                  and tok.isdigit() else 0
                   for tok in text.replace(",", " ").split()})
     if not ids:
         raise ValueError("empty id list")

@@ -10,10 +10,11 @@ count.  The rank-1 device announces itself in a final slot.
 One walk builds the labelling.  Block i lasts a fixed number of rounds and
 ends in a handoff slot in which the group head passes its counter to the
 device heading block i + 1, so a device takes part in at most three
-blocks: its own, the one it heads, and the one before that.  The walk is
-written once (_block_walk, with _walk_len its round count); each election
-program names its block body once, in its `block` and `block_len` class
-attributes:
+blocks: its own, the one it heads, and the one before that.  Each election
+program names its walk once, in its `walk` class attribute, a generator
+that runs all of a device's block visits and handoffs in its own frame,
+and the round count of one block in `block_len`, from which _walk_len
+counts the walk's rounds:
 
 * dense_simple_election  - two slots per id: the current group head hands
   its counter to each candidate in turn.  2w + 1 rounds for a block of
@@ -130,7 +131,7 @@ def census_phase(pos: int, ident: int, block_size: int, base: int = 0):
     else:
         fb = yield (broadcast, LISTEN)
         full = tuple(fb.payload)
-    return full, full.index(ident) + 1, len(full)
+    return full, bisect_left(full, ident) + 1, len(full)
 
 
 class _CensusProgram(DeviceProgram):
@@ -161,51 +162,14 @@ def census(lo: int, hi: int, present) -> Tuple[int, ...]:
     shifted = tuple(i - lo + 1 for i in ids)
     config = ProtocolConfig(model=CdModel.NO_CD, N=hi - lo + 1)
     _, programs = run_programs(_CensusProgram, shifted, config)
-    for dev, prog in programs.items():
-        if prog.view != (shifted, shifted.index(dev) + 1, len(shifted)):
+    for index, dev in enumerate(shifted, start=1):
+        if programs[dev].view != (shifted, index, len(shifted)):
             raise AssertionError(f"census views disagree for device {dev + lo - 1}")
     return ids
 
 
 # ---------------------------------------------------------------------------
-# the block walk
-
-
-def _block_walk(cid: int, space: int, b: int, base: int, block_len, block):
-    """Label chain over the blocks of [1..space], starting at round `base`.
-    Returns the final rank (label minus block count) or None.
-
-    `block(cid, i, lo, hi, first, r, s)` runs the body of block i = [lo..hi]
-    from round `first` and returns the updated (r, s): r is this device's
-    label, s the counter it holds while it heads the group.  `block_len(w)`
-    is the round count of a block of width w, the last round being the
-    handoff in which the head passes its counter on to the next block's.
-
-    A device is involved in at most three blocks: the one holding its id,
-    the one whose index equals its label (head duty), and the one before
-    that (handoff listen).  Everything else is skipped outright, so the
-    per-device work does not grow with the block count."""
-    nblocks = (space + b - 1) // b
-    span = block_len(b)  # rounds of one full-width block
-    home = (cid - 1) // b + 1
-    r = s = None
-    visits = [home]
-    for i in visits:
-        lo = (i - 1) * b + 1
-        hi = min(space, lo + b - 1)
-        first = base + (i - 1) * span  # first round of block i
-        r, s = yield from block(cid, i, lo, hi, first, r, s)
-        # only the last block may be narrower than b
-        handoff = first + (span if hi - lo + 1 == b else block_len(hi - lo + 1)) - 1
-        if r == i:
-            yield (handoff, transmit(s))
-        elif r == i + 1:
-            fb = yield (handoff, LISTEN)
-            if fb.kind == "received":
-                s = fb.payload
-        if i == home:
-            visits += [j for j in (r - 1, r) if home < j <= nblocks]
-    return r - nblocks if r >= nblocks + 1 else None
+# the block walks
 
 
 def _walk_len(space: int, b: int, block_len) -> int:
@@ -217,69 +181,115 @@ def _simple_block_len(width: int) -> int:
     return 2 * width + 1
 
 
-def _simple_block(cid, i, lo, hi, first, r, s):
-    # two slots per id: the head offers its counter, the candidate answers.
-    # A candidate acts only at its own id; the head, standing or founded
-    # there, acts at every id after that.
-    start = lo
-    if lo <= cid <= hi:
-        slot_a = first + 2 * (cid - lo)
-        fb = yield (slot_a, LISTEN)
-        if fb.kind == "received":
-            r = fb.payload + 1  # join behind the head's counter
-        else:
-            r = s = i  # nobody leads: found the group here
-        yield (slot_a + 1, transmit(cid))
-        start = cid + 1
-    if r == i:
-        for j in range(start, hi + 1):
-            slot_a = first + 2 * (j - lo)
-            yield (slot_a, transmit(s))
-            fb = yield (slot_a + 1, LISTEN)
+def _simple_walk(cid: int, space: int, b: int, base: int):
+    """Label chain over the blocks of [1..space] in two slots per id,
+    starting at round `base`.  Returns the final rank (label minus block
+    count) or None.
+
+    r is this device's label, s the counter it holds while it heads the
+    group.  In block i = [lo..hi] the head offers its counter at each id
+    and the candidate there answers; a candidate acts only at its own id,
+    and the head, standing or founded there, acts at every id after that.
+    The block's last round is the handoff in which the head passes its
+    counter on to the next block's.
+
+    A device is involved in at most three blocks: the one holding its id,
+    the one whose index equals its label (head duty), and the one before
+    that (handoff listen).  Everything else is skipped outright, so the
+    per-device work does not grow with the block count."""
+    nblocks = (space + b - 1) // b
+    home = (cid - 1) // b + 1
+    r = s = None
+    visits = [home]
+    for i in visits:
+        lo = (i - 1) * b + 1
+        hi = min(space, lo + b - 1)
+        first = base + (i - 1) * (2 * b + 1)  # first round of block i
+        start = lo
+        if i == home:
+            slot = first + 2 * (cid - lo)
+            fb = yield (slot, LISTEN)
             if fb.kind == "received":
-                s += 1
-    return r, s
+                r = fb.payload + 1  # join behind the head's counter
+            else:
+                r = s = i  # nobody leads: found the group here
+            yield (slot + 1, transmit(cid))
+            start = cid + 1
+        if r == i:
+            for j in range(start, hi + 1):
+                slot = first + 2 * (j - lo)
+                yield (slot, transmit(s))
+                fb = yield (slot + 1, LISTEN)
+                if fb.kind == "received":
+                    s += 1
+        # the handoff, the block's last round
+        if r == i:
+            yield (first + 2 * (hi - lo + 1), transmit(s))
+        elif r == i + 1:
+            fb = yield (first + 2 * (hi - lo + 1), LISTEN)
+            if fb.kind == "received":
+                s = fb.payload
+        if i == home:
+            visits += [j for j in (r - 1, r) if home < j <= nblocks]
+    return r - nblocks if r >= nblocks + 1 else None
 
 
 def _improved_block_len(width: int) -> int:
     return census_phase_len(width) + width + 2
 
 
-def _improved_block(cid, i, lo, hi, first, r, s):
-    # census, one exchange with the head, then a label chain; a standing
-    # head still runs the exchange of an empty block
-    width = hi - lo + 1
-    in_block = lo <= cid <= hi
-    if in_block:
-        _, index, size = yield from census_phase(cid - lo + 1, cid, width, first)
-    ex = first + census_phase_len(width)
-    if r == i:
-        # standing head: offer the counter, then absorb the block size
-        yield (ex, transmit(s))
-        fb = yield (ex + 1, LISTEN)
-        if fb.kind == "received":
-            s += fb.payload
-    elif in_block and index == 1:
-        fb = yield (ex, LISTEN)
-        if fb.kind == "received":
-            r = fb.payload + 1
-        else:
-            r = i
-            s = i + size - 1  # founder: counter covers the whole block
-        yield (ex + 1, transmit(size))
-    if in_block:
-        chain = ex + 2
-        if index >= 2:
-            fb = yield (chain + index - 2, LISTEN)
-            r = fb.payload + 1
-        if index + 1 <= size:
-            yield (chain + index - 1, transmit(r))
-    return r, s
+def _improved_walk(cid: int, space: int, b: int, base: int):
+    """_simple_walk's label chain, each block run as a census, one exchange
+    between the head and the block's first member, then a label chain
+    through the block; a standing head still runs the exchange of an empty
+    block."""
+    nblocks = (space + b - 1) // b
+    span = _improved_block_len(b)  # rounds of one full-width block
+    home = (cid - 1) // b + 1
+    r = s = None
+    visits = [home]
+    for i in visits:
+        lo = (i - 1) * b + 1
+        width = min(space, lo + b - 1) - lo + 1
+        first = base + (i - 1) * span  # first round of block i
+        if i == home:
+            _, index, size = yield from census_phase(cid - lo + 1, cid, width, first)
+        ex = first + census_phase_len(width)
+        if r == i:
+            # standing head: offer the counter, then absorb the block size
+            yield (ex, transmit(s))
+            fb = yield (ex + 1, LISTEN)
+            if fb.kind == "received":
+                s += fb.payload
+        elif i == home and index == 1:
+            fb = yield (ex, LISTEN)
+            if fb.kind == "received":
+                r = fb.payload + 1
+            else:
+                r = i
+                s = i + size - 1  # founder: counter covers the whole block
+            yield (ex + 1, transmit(size))
+        if i == home:
+            if index >= 2:
+                fb = yield (ex + index, LISTEN)
+                r = fb.payload + 1
+            if index + 1 <= size:
+                yield (ex + index + 1, transmit(r))
+        # the handoff, the block's last round
+        if r == i:
+            yield (ex + width + 1, transmit(s))
+        elif r == i + 1:
+            fb = yield (ex + width + 1, LISTEN)
+            if fb.kind == "received":
+                s = fb.payload
+        if i == home:
+            visits += [j for j in (r - 1, r) if home < j <= nblocks]
+    return r - nblocks if r >= nblocks + 1 else None
 
 
 class _DenseProgram(DeviceProgram):
-    """One block walk (`block`, `block_len`; set by subclasses) and the
-    announcement of its rank-1 device."""
+    """One block walk (`walk`, with `block_len` the round count of one
+    block; set by subclasses) and the announcement of its rank-1 device."""
 
     @classmethod
     def schedule_length(cls, config: ProtocolConfig) -> int:
@@ -289,20 +299,18 @@ class _DenseProgram(DeviceProgram):
 
     def run(self):
         N, b = self.config.N, self.config.b
-        rank = yield from _block_walk(
-            self.device_id, N, b, 0, self.block_len, self.block
-        )
+        rank = yield from self.walk(self.device_id, N, b, 0)
         self.rank = rank
         yield from self.announce(_walk_len(N, b, self.block_len), rank == 1)
 
 
 class DenseSimpleProgram(_DenseProgram):
-    block = staticmethod(_simple_block)
+    walk = staticmethod(_simple_walk)
     block_len = staticmethod(_simple_block_len)
 
 
 class DenseImprovedProgram(_DenseProgram):
-    block = staticmethod(_improved_block)
+    walk = staticmethod(_improved_walk)
     block_len = staticmethod(_improved_block_len)
 
 
@@ -395,13 +403,10 @@ class ExponentialSearchProgram(DeviceProgram):
 
     def run(self):
         attempts, final_slot = exponential_plan(self.config.N, self.config.model)
-        block_len, block = DenseImprovedProgram.block_len, DenseImprovedProgram.block
         cid = self.device_id
         live = True
         for att in attempts:
-            rank = yield from _block_walk(
-                cid, att.space, att.b, att.base, block_len, block
-            )
+            rank = yield from _improved_walk(cid, att.space, att.b, att.base)
             if (yield from self.announce(att.test_slot, rank == 1)):
                 return
             live, cid = yield from pairing_level_phase(cid, att.space, att.test_slot + 1)

@@ -105,8 +105,9 @@ the header line ``model N rounds id1,id2,...`` followed by the serialized
 event lines (exactly the text of `Transcript.serialize`), every line
 terminated by a newline.  The lines are formatted from the columns, and a
 payload's text is made once for each run of events that carry the same
-payload object, so a slot's listeners share the text of what they heard.  Two runs agree on the hash iff they agree on the
-header and the full event sequence.  A run does not hash its transcript:
+payload object, so a slot's listeners share the text of what they heard.
+Two runs agree on the hash iff they agree on the header and the full
+event sequence.  A run does not hash its transcript:
 `RunReport.transcript_hash` is computed on first read, and
 `transcript_hashes` hashes many transcripts in one pass.
 

@@ -276,13 +276,18 @@ def test_explicit_ids(capsys):
     assert cols[3] == "2"
     assert cols[6] == str(ceil_log2(16) + 1)
     assert cols[8] == "true"
-    # a token longer than int()'s 4,300 digits, zero-padded or not, gets the
-    # range refusal like any other id outside 1..N, before any run
+    # a token longer than int()'s 4,300 digits, zero-padded or not, or
+    # holding anything but ASCII digits (a sign, an underscore, an Arabic-Indic
+    # three), gets the range refusal like any other id outside 1..N, before
+    # any run
     for protocol, ids in (("binary_search", "1,17"),
                           ("binary_search", "1," + "9" * 5000),
                           ("binary_search", "-" + "9" * 5000 + ",2"),
                           ("binary_search", "0" * 5000 + "9,10"),
-                          ("dense_simple", "8" * 5000 + "," + "9" * 5000)):
+                          ("dense_simple", "8" * 5000 + "," + "9" * 5000),
+                          ("binary_search", "1,+3"),
+                          ("binary_search", "1_0,3"),
+                          ("binary_search", "1,\u0663")):
         code, out, err = run_cli(capsys, "--protocol", protocol,
                                  "--N", "16", f"--ids={ids}")
         assert (code, out, err) == (2, "", "error: device ids must lie in 1..16\n")
@@ -305,11 +310,12 @@ def test_subsets_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--protocol", "halving", "--N", "16",
                              "--subsets", "file", "--subsets-file", str(listing))
     assert (code, out) == (2, "") and err == f"error: no subsets in {listing}\n"
-    listing.write_text("1 2\n3 " + "9" * 5000 + "\n")
-    code, out, err = run_cli(capsys, "--protocol", "halving", "--N", "16",
-                             "--k", "2", "--subsets", "file",
-                             "--subsets-file", str(listing))
-    assert (code, out, err) == (2, "", "error: device ids must lie in 1..16\n")
+    for bad in ("3 " + "9" * 5000, "3 1_0"):
+        listing.write_text("1 2\n" + bad + "\n")
+        code, out, err = run_cli(capsys, "--protocol", "halving", "--N", "16",
+                                 "--k", "2", "--subsets", "file",
+                                 "--subsets-file", str(listing))
+        assert (code, out, err) == (2, "", "error: device ids must lie in 1..16\n")
 
 
 def test_density_grid(capsys):

@@ -1121,6 +1121,34 @@ def test_transcript_bytes_per_event(name):
     assert (held - without) / events <= bound, (held - without) / events
 
 
+# (driver call, traced peak bytes per device) for every id of N = 2^12
+# present under no_cd; at the start of a run every device is suspended at
+# once, holding its program's generator, its walk's and, in the improved
+# walk, the census's
+WALK_PEAK_BYTES = {
+    "exponential": (partial(exponential_search_election, range(1, 2**12 + 1),
+                            2**12, CdModel.NO_CD), 1950),
+    "dense_improved b=4": (partial(dense_improved_election, range(1, 2**12 + 1),
+                                   2**12, 4), 1875),
+    "dense_simple b=4": (partial(dense_simple_election, range(1, 2**12 + 1),
+                                 2**12, 4), 1575),
+}
+
+
+@pytest.mark.parametrize("name", WALK_PEAK_BYTES)
+def test_full_density_peak_bytes_per_device(name):
+    run, bound = WALK_PEAK_BYTES[name]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.strict_success
+    assert peak / 2**12 <= bound, peak / 2**12
+
+
 def test_events_view_iterates_and_compares_by_value():
     prog = make_script(
         {

@@ -146,6 +146,12 @@ def _record(header: str, *cells: str) -> Record:
     return dict(zip(header.split(","), cells, strict=True))
 
 
+def _mean(total: int, count: int) -> str:
+    """total / count to 4 decimals, rounded half to even and exact at any size."""
+    q = round(Fraction(total * 10**4, count))
+    return f"{q // 10**4}.{q % 10**4:04d}"
+
+
 @functools.cache  # parsing never mutates the parser, so every call shares one
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -391,9 +397,9 @@ def run_experiment(args):
         str(args.N),
         str(len(reports)),
         str(max(r.rounds for r in reports)),
-        f"{sum(r.rounds for r in reports) / len(reports):.4f}",
+        _mean(sum(r.rounds for r in reports), len(reports)),
         str(max(r.ledger.max_energy for r in reports)),
-        f"{sum(r.ledger.max_energy for r in reports) / len(reports):.4f}",
+        _mean(sum(r.ledger.max_energy for r in reports), len(reports)),
         str(all(r.strict_success for r in reports)).lower(),
         str(all(r.easy_success for r in reports)).lower(),
     )

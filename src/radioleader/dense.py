@@ -371,7 +371,7 @@ def _attempt_block_width(model: CdModel, attempt: int, space: int) -> int:
         exponent = 1 << attempt
     if exponent >= space.bit_length():
         return space
-    return min(space, 1 << exponent)
+    return 1 << exponent
 
 
 @lru_cache(maxsize=256)

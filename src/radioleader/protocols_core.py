@@ -117,8 +117,8 @@ def interval_halving_phase(pos: int, space: int, probes: int, base: int = 0):
     the upper half carries on.  Transmitters always carry on: their own
     transmission proves their half is occupied.
 
-    Returns (alive, position inside the final interval, final size).  A slot
-    is consumed per probe even once the interval is a single id."""
+    Returns (alive, position inside the final interval).  A slot is
+    consumed per probe even once the interval is a single id."""
     lo, hi = 1, space
     alive = True
     for t in range(probes):
@@ -135,7 +135,7 @@ def interval_halving_phase(pos: int, space: int, probes: int, base: int = 0):
                 lo = mid + 1
             else:
                 alive = False
-    return alive, pos - lo + 1, hi - lo + 1
+    return alive, pos - lo + 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ class BinarySearchElectionProgram(DeviceProgram):
 
     def run(self):
         probes = ceil_log2(self.config.N)
-        alive, _, _ = yield from interval_halving_phase(
+        alive, _ = yield from interval_halving_phase(
             self.device_id, self.config.N, probes
         )
         yield from self.announce(probes, alive)
@@ -185,12 +185,12 @@ class HalvingTradeoffProgram(DeviceProgram):
     def run(self):
         probes, residue = _halving_plan(self.config)
         inner_len = ceil_log2(residue)
-        alive, pos, _ = yield from interval_halving_phase(
+        alive, pos = yield from interval_halving_phase(
             self.device_id, self.config.N, probes
         )
         won = False
         if alive:
-            won, _, _ = yield from interval_halving_phase(
+            won, _ = yield from interval_halving_phase(
                 pos, residue, inner_len, probes
             )
         yield from self.announce(probes + inner_len, won)

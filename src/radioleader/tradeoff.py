@@ -14,9 +14,8 @@ per-device energy stays near 2K + log b.
 
 choose_params picks the family (its part count b and size K) for a known
 device count n and a time budget knob k, mirroring the analysis the
-protocol comes from: when n is small against N^(1/k) the id space dictates
-b = ceil(N^(1/k)); otherwise b is the smallest part count that keeps n
-below b^(1-epsilon).
+protocol comes from: b is the least part count with b^k >= N, which is
+ceil(N^(1/k)), and n <= b^(1-epsilon).
 """
 
 from __future__ import annotations
@@ -39,16 +38,6 @@ class InvalidParams(ValueError):
     """Parameter combination outside the trade-off's domain."""
 
 
-def _integer_kth_root_ceiling(N: int, k: int) -> int:
-    """Smallest b with b^k >= N."""
-    b = max(1, round(N ** (1.0 / k)))
-    while b**k < N:
-        b += 1
-    while b > 1 and (b - 1) ** k >= N:
-        b -= 1
-    return b
-
-
 def choose_params(
     N: int,
     n: int,
@@ -61,32 +50,36 @@ def choose_params(
 ) -> PartitionFamily:
     """Pick the part count and family for a run with n devices on [1..N].
 
-    Requires 0 < epsilon < 1 and k at least ceil(log log N); k is clamped
-    to 2*ceil(log N) since beyond that no further trade exists."""
+    Requires 0 < epsilon < 1 and k at least ceil(log log N).  From k =
+    ceil(log N) up, b = 2 already has b^k >= N, so a larger k changes no b."""
     if not (0.0 < epsilon < 1.0):
         raise InvalidParams("epsilon must lie strictly between 0 and 1")
     if not (1 <= n <= N):
         raise InvalidParams("need 1 <= n <= N")
-    log_n_space = ceil_log2(N)
-    loglog = ceil_log2(log_n_space) if log_n_space >= 1 else 0
-    if k < max(1, loglog):
-        raise InvalidParams(f"k={k} is below ceil(log log N)={max(1, loglog)}")
-    k_eff = min(k, max(1, 2 * log_n_space))
+    min_k = max(1, ceil_log2(max(1, ceil_log2(N))))
+    if k < min_k:
+        raise InvalidParams(f"k={k} is below ceil(log log N)={min_k}")
 
-    # b is ceil(N^(1/k)), or the smallest b >= 2 with b^(1-epsilon) >= n
-    # when that is larger, found by bisection: near epsilon = 1 it is huge.
-    # Labels are drawn mod b and stored as int64, so b stops at 2^62
-    lo, hi = 2, 1 << 62
-    if hi ** (1.0 - epsilon) < n - 1e-9:
-        raise InvalidParams(f"epsilon={epsilon} needs more than 2^62 parts "
-                            f"for n={n}")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** (1.0 - epsilon) >= n - 1e-9:
+    # b is the least b >= 2 with b^k >= N and b^(1-epsilon) >= n: both tests
+    # only grow with b, so one bisection finds it.  Labels are drawn mod b and
+    # stored as int64, so b stops at 2^62 (top + 1 stands for any larger b)
+    top = 1 << 62
+    if n > top or top ** (1.0 - epsilon) < n - 1e-9:
+        raise InvalidParams(f"epsilon={epsilon} needs more than 2^62 parts for n={n}")
+    bits = N.bit_length()
+    b, hi = 2, top + 1
+    while b < hi:
+        mid = (b + hi) // 2
+        # 2^(m-1) <= mid < 2^m and 2^(bits-1) <= N < 2^bits settle mid^k >= N
+        # unless m * k is near bits, so the power taken has under 2 * bits bits
+        m = mid.bit_length()
+        covers = (m - 1) * k >= bits or (m * k >= bits and mid**k >= N)
+        if covers and mid ** (1.0 - epsilon) >= n - 1e-9:
             hi = mid
         else:
-            lo = mid + 1
-    b = max(_integer_kth_root_ceiling(N, k_eff), lo)
+            b = mid + 1
+    if b > top:
+        raise InvalidParams(f"k={k} needs more than 2^62 parts for N of {bits} bits")
 
     if family is None:
         if family_size(N, b, epsilon) * N > LABEL_BUDGET:

@@ -16,6 +16,7 @@ from radioleader.cli import (
     CHECK_HEADER,
     CSV_HEADER,
     PROGRAMS,
+    _mean,
     _parse_density,
     build_parser,
     generate_subsets,
@@ -477,6 +478,51 @@ def test_an_epsilon_that_needs_too_many_parts_is_refused_at_once(epsilon,
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == f"error: epsilon={epsilon} needs more than 2^62 parts for n=2\n"
+
+
+# Exponential search is left out: its lone survivor re-runs a full-width
+# census of 2 log(space) + O(1) slots in every attempt, Θ(log² N) in all
+# (ROADMAP item 2), which is too slow to simulate at N = 2^1100.
+@pytest.mark.parametrize("argv", [
+    ("--protocol", "pairing"),
+    ("--protocol", "binary_search"),
+    ("--protocol", "halving"),
+    ("--protocol", "dense_simple", "--b", "2"),
+    ("--protocol", "dense_improved"),
+])
+def test_a_huge_id_space_runs_with_exact_means(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--N", str(2**1100), "--ids", "1,2")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    _, aggs = body_rows(out)
+    agg = dict(zip(AGG_HEADER.split(","), aggs[0].split(",")))
+    assert agg["rounds_mean"] == agg["rounds_max"] + ".0000"
+    assert agg["energy_mean"] == agg["energy_max"] + ".0000"
+
+
+def test_mean_is_exact_and_rounds_half_to_even():
+    assert _mean(1152921504606847038, 1) == "1152921504606847038.0000"
+    assert _mean(2**1100 + 1, 2) == f"{2**1099}.5000"
+    assert _mean(1, 3) == "0.3333"
+    assert _mean(2, 3) == "0.6667"
+    # exact ties at the fifth decimal, which a float quotient misses
+    assert (_mean(1, 160), _mean(3, 160)) == ("0.0062", "0.0188")
+
+
+def test_an_id_space_that_needs_too_many_parts_is_refused_at_once(tmp_path,
+                                                                  capsys):
+    # ceil(log log 2^1100) = 11, and b^11 >= 2^1100 needs b = 2^100 > 2^62
+    start = time.perf_counter()
+    out_path = tmp_path / "runs.csv"
+    code, out, err = run_cli(capsys, "--protocol", "tradeoff",
+                             "--N", str(2**1100), "--n", "2", "--k", "11",
+                             "--epsilon", "0.5", "--ids", "1,2",
+                             "--out", str(out_path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: k=11 needs more than 2^62 parts for N of 1101 bits\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_family_over_the_label_budget_is_refused_at_once(capsys):

@@ -1,8 +1,11 @@
 import itertools
+import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
-from radioleader import partitions
+from radioleader import partitions, tradeoff
 from radioleader.channel import CdModel
 from radioleader.partitions import (
     LABEL_BUDGET,
@@ -104,6 +107,77 @@ def test_chosen_b_satisfies_density_precondition():
         if n > 2 and fam.b > 2:
             # minimality: one part fewer would break the precondition
             assert (fam.b - 1) ** 0.5 < n - 1e-9
+
+
+def two_step_b(N, n, k, epsilon):
+    """The part count as choose_params found it before one bisection did:
+    a float-guessed k-th root ceiling stepped by one, then a bisection for
+    the density, and the larger of the two.  None where it refused."""
+    k = min(k, max(1, 2 * ceil_log2(N)))
+    root = max(1, round(N ** (1.0 / k)))
+    while root**k < N:
+        root += 1
+    while root > 1 and (root - 1) ** k >= N:
+        root -= 1
+    lo, hi = 2, 1 << 62
+    if hi ** (1.0 - epsilon) < n - 1e-9:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** (1.0 - epsilon) >= n - 1e-9:
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(root, lo)
+
+
+def chosen_b(N, n, k, epsilon):
+    """choose_params's b, or None where it refuses for more than 2^62 parts."""
+    try:
+        return choose_params(N, n, k, epsilon).b
+    except InvalidParams as refusal:
+        assert "more than 2^62 parts" in str(refusal)
+        return None
+
+
+def test_one_bisection_picks_the_two_step_b(monkeypatch):
+    # no family is drawn: the stub hands back the (N, b) it was asked for
+    monkeypatch.setattr(tradeoff, "LABEL_BUDGET", float("inf"))
+    monkeypatch.setattr(tradeoff, "generate_family",
+                        lambda N, b, *args, **kwargs: SimpleNamespace(N=N, b=b))
+    rng = random.Random(34)
+    cases = []
+    for _ in range(2000):
+        N = rng.randint(1, 1 << rng.randint(1, 400))
+        n = rng.randint(1, min(N, 10**6))
+        min_k = max(1, ceil_log2(max(1, ceil_log2(N))))
+        k = min_k + rng.choice([0, 1, 3, 50, 10**6])
+        epsilon = rng.choice([rng.random() or 0.5, 0.5, 0.01, 0.99, 1e-6])
+        cases.append((N, n, k, epsilon))
+    # the edge of the int64 labels: b = 2^62 is chosen, 2^62 + 1 refused
+    for k in (10, 11, 12):
+        for N in ((1 << 62) ** k, (1 << 62) ** k + 1, ((1 << 62) - 1) ** k + 1):
+            cases.append((N, 2, k, 0.5))
+    refused = 0
+    for N, n, k, epsilon in cases:
+        want = two_step_b(N, n, k, epsilon)
+        if want is not None and want > 1 << 62:
+            want = None
+            refused += 1
+        assert chosen_b(N, n, k, epsilon) == want, (N, n, k, epsilon)
+    assert refused == 3
+
+
+def test_a_root_past_the_int64_labels_is_refused_at_once():
+    # each k is ceil(log log N); at N = 2^750 + 1, b^10 >= N needs b > 2^75
+    for N, k in ((2**750 + 1, 10), (2**1100, 11), (10**4299, 14)):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match="more than 2\\^62 parts"):
+            choose_params(N, 2, k, 0.5)
+        assert time.perf_counter() - start < 1, N
+    # an n past 2^62 cannot fit either, even past the largest float
+    with pytest.raises(InvalidParams, match="more than 2\\^62 parts"):
+        choose_params(2**1100, 2**1050, 11, 0.5)
 
 
 # --- the election itself ----------------------------------------------------

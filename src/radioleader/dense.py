@@ -25,6 +25,13 @@ counts the walk's rounds:
   rounds for a block of width w >= 2, time about 3N, but per-device
   energy drops from O(b) to O(log b).
 
+A walk keeps no list of the blocks it visits: it computes the next one
+from the current block and its label, and each round from the block
+index as it offers it.  So a waiting device holds no object of the
+walk's besides its frame; the census it may be in holds its member list
+and its merge slot.  In a full-density run every device waits at once,
+in its first slot, and what each one holds sets the run's peak memory.
+
 The census is a binary merge tournament over the block: representatives of
 adjacent sub-ranges meet in two slots (left transmits its member list, then
 the right side answers with the merged list so the left knows it may
@@ -187,51 +194,52 @@ def _simple_walk(cid: int, space: int, b: int, base: int):
     count) or None.
 
     r is this device's label, s the counter it holds while it heads the
-    group.  In block i = [lo..hi] the head offers its counter at each id
-    and the candidate there answers; a candidate acts only at its own id,
-    and the head, standing or founded there, acts at every id after that.
-    The block's last round is the handoff in which the head passes its
-    counter on to the next block's.
+    group.  In block i the head offers its counter at each id and the
+    candidate there answers; a candidate acts only at its own id, and the
+    head, standing or founded there, acts at every id after that.  The
+    block's last round is the handoff in which the head passes its
+    counter on to the next block's.  Two rounds per earlier id and one
+    handoff per earlier block come first, so the head offers id j of
+    block i its counter in round base + 2j + i - 3, the candidate answers
+    in the next, and block i's handoff is round base + 2hi + i - 1, hi its
+    last id.
 
     A device is involved in at most three blocks: the one holding its id,
     the one whose index equals its label (head duty), and the one before
     that (handoff listen).  Everything else is skipped outright, so the
-    per-device work does not grow with the block count."""
-    nblocks = (space + b - 1) // b
-    home = (cid - 1) // b + 1
+    per-device work does not grow with the block count.  The next block
+    is computed from i and r, and each round from i as it is offered, so
+    a waiting device holds nothing besides its frame: no list of visits
+    and no round number between its offers."""
+    i = home = (cid - 1) // b + 1
     r = s = None
-    visits = [home]
-    for i in visits:
-        lo = (i - 1) * b + 1
-        hi = min(space, lo + b - 1)
-        first = base + (i - 1) * (2 * b + 1)  # first round of block i
-        start = lo
+    while True:
         if i == home:
-            slot = first + 2 * (cid - lo)
-            fb = yield (slot, LISTEN)
+            fb = yield (base + 2 * cid + i - 3, LISTEN)
             if fb.kind == "received":
                 r = fb.payload + 1  # join behind the head's counter
             else:
                 r = s = i  # nobody leads: found the group here
-            yield (slot + 1, transmit(cid))
-            start = cid + 1
+            yield (base + 2 * cid + i - 2, transmit(cid))
         if r == i:
-            for j in range(start, hi + 1):
-                slot = first + 2 * (j - lo)
-                yield (slot, transmit(s))
-                fb = yield (slot + 1, LISTEN)
+            for j in range(cid + 1 if i == home else (i - 1) * b + 1,
+                           min(space, i * b) + 1):
+                yield (base + 2 * j + i - 3, transmit(s))
+                fb = yield (base + 2 * j + i - 2, LISTEN)
                 if fb.kind == "received":
                     s += 1
-        # the handoff, the block's last round
-        if r == i:
-            yield (first + 2 * (hi - lo + 1), transmit(s))
+            # the handoff, the block's last round
+            yield (base + 2 * min(space, i * b) + i - 1, transmit(s))
         elif r == i + 1:
-            fb = yield (first + 2 * (hi - lo + 1), LISTEN)
+            fb = yield (base + 2 * min(space, i * b) + i - 1, LISTEN)
             if fb.kind == "received":
                 s = fb.payload
-        if i == home:
-            visits += [j for j in (r - 1, r) if home < j <= nblocks]
-    return r - nblocks if r >= nblocks + 1 else None
+        # then block r - 1, then r, each only if it lies after home
+        i = max(i + 1, r - 1)
+        if i > r or (i - 1) * b >= space:
+            break
+    nblocks = (space + b - 1) // b
+    return r - nblocks if r > nblocks else None
 
 
 def _improved_block_len(width: int) -> int:
@@ -242,19 +250,18 @@ def _improved_walk(cid: int, space: int, b: int, base: int):
     """_simple_walk's label chain, each block run as a census, one exchange
     between the head and the block's first member, then a label chain
     through the block; a standing head still runs the exchange of an empty
-    block."""
-    nblocks = (space + b - 1) // b
-    span = _improved_block_len(b)  # rounds of one full-width block
-    home = (cid - 1) // b + 1
+    block.  Block i starts in round base + (i - 1) * block_len(b).  As in
+    _simple_walk the next block is computed from i and r, so a device
+    waiting in its census holds nothing besides its frames; past the
+    census, a visit counts its rounds from the exchange round `ex`."""
+    i = home = (cid - 1) // b + 1
     r = s = None
-    visits = [home]
-    for i in visits:
-        lo = (i - 1) * b + 1
-        width = min(space, lo + b - 1) - lo + 1
-        first = base + (i - 1) * span  # first round of block i
+    while True:
+        width = min(b, space - (i - 1) * b)
+        ex = base + (i - 1) * _improved_block_len(b)  # block i's first round
         if i == home:
-            _, index, size = yield from census_phase(cid - lo + 1, cid, width, first)
-        ex = first + census_phase_len(width)
+            _, index, size = yield from census_phase(cid - (i - 1) * b, cid, width, ex)
+        ex += census_phase_len(width)  # the exchange round
         if r == i:
             # standing head: offer the counter, then absorb the block size
             yield (ex, transmit(s))
@@ -282,9 +289,11 @@ def _improved_walk(cid: int, space: int, b: int, base: int):
             fb = yield (ex + width + 1, LISTEN)
             if fb.kind == "received":
                 s = fb.payload
-        if i == home:
-            visits += [j for j in (r - 1, r) if home < j <= nblocks]
-    return r - nblocks if r >= nblocks + 1 else None
+        i = max(i + 1, r - 1)
+        if i > r or (i - 1) * b >= space:
+            break
+    nblocks = (space + b - 1) // b
+    return r - nblocks if r > nblocks else None
 
 
 class _DenseProgram(DeviceProgram):
@@ -405,13 +414,14 @@ class ExponentialSearchProgram(DeviceProgram):
         attempts, final_slot = exponential_plan(self.config.N, self.config.model)
         cid = self.device_id
         live = True
-        for att in attempts:
+        k = 0  # attempts are indexed: an iterator would be one more object per device
+        while live and k < len(attempts):
+            att = attempts[k]
             rank = yield from _improved_walk(cid, att.space, att.b, att.base)
             if (yield from self.announce(att.test_slot, rank == 1)):
                 return
             live, cid = yield from pairing_level_phase(cid, att.space, att.test_slot + 1)
-            if not live:
-                break
+            k += 1
         # a survivor of every level is alone in the id space that is left
         yield from self.announce(final_slot, live)
 

@@ -68,9 +68,13 @@ round is refused) for a round after the device's previous one and inside
 the schedule; the loop tests that inline, unpacking the offer once, and
 raises what `offer_error` names.  A program's first offer takes the same
 path: the run opens with a round -1 in which every device is resumed with
-None.  Device ids are plain ints: ids that `operator.index` accepts are
-converted, and bools and other non-integers are rejected before the run
-starts.
+None.  Round -1's bucket is a lazy `zip` of the positions with None, not
+a list of n pairs: such a list would still be alive when the last device
+makes its first offer, which is a full-density run's peak, with every
+device waiting at once.  A slot's last device, which may run ahead, is
+read from its bucket once the bucket is sorted.  Device ids are plain
+ints: ids that `operator.index` accepts are converted, and bools and
+other non-integers are rejected before the run starts.
 
 The cyclic garbage collector is paused by one context manager,
 `collector_paused`, around a run and around a whole CLI sweep (every run
@@ -136,6 +140,7 @@ from contextlib import contextmanager
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from operator import index
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -489,6 +494,13 @@ class RunReport:
         return self.transcript.hash64()
 
     @property
+    def finished(self) -> int:
+        """The round after the last event, 0 when there is none: when the
+        devices stopped, where `rounds` is the schedule's length."""
+        rounds = self.transcript.event_rounds
+        return rounds[-1] + 1 if rounds else 0
+
+    @property
     def easy_success(self) -> bool:
         """Some listen received a message: its slot had one transmitter."""
         return _RECEIVED in self.transcript.event_codes
@@ -586,7 +598,8 @@ def run_programs(
         sends = [prog.run().send for prog in programs]
         # Round -1 starts every program: sending None is the first next().
         rnd = -1
-        bucket = [(pos, None) for pos in range(len(ids))]
+        bucket = zip(range(len(ids)), repeat(None))
+        last = len(ids) - 1
         listener = transmitter = None
         listen_code = transmit_code = 0
         lone_listen_code = _FEEDBACK_CODE[LONE_LISTEN.kind]
@@ -598,7 +611,6 @@ def run_programs(
         add_code = transcript.event_codes.append
         add_payload = transcript.event_payloads.append
         while True:
-            last = bucket[-1][0]
             for pos, action in bucket:
                 while True:
                     if action is None:
@@ -657,6 +669,7 @@ def run_programs(
             else:
                 transmitter = lone_transmitter or received(bucket[0][1].payload)
                 transmit_code = lone_transmit_code
+            last = bucket[-1][0]
 
         verdicts = {dev: prog.finish() for dev, prog in zip(ids, programs)}
         energy = np.bincount(np.frombuffer(transcript.event_devices, np.intc),

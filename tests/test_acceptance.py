@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from functools import lru_cache
 
 from radioleader.channel import CdModel
@@ -180,7 +181,10 @@ def test_criterion_3_search_energy_flat_then_linear():
 
 def test_criterion_4_round_counts():
     """Round-count ceilings on the same grid: both dense walks and the
-    partition schedule stay inside their closed-form budgets."""
+    partition schedule stay inside their closed-form budgets.  The dense
+    walks finish with their schedule; a trade-off run stops after the
+    announcement of the first partition that isolates one of its devices,
+    partition h, so it finishes at 2b(h + 1)."""
     for N in GRID:
         b = choose_dense_b(N, 64)
         V = random.Random(N).sample(range(1, N + 1), 64)
@@ -189,9 +193,24 @@ def test_criterion_4_round_counts():
         ri = dense_improved_election(V, N, b)
         assert rs.rounds <= 3 * N + nb + 1, (N, rs.rounds)
         assert ri.rounds <= 3 * N + nb + 1, (N, ri.rounds)
+        assert rs.finished == rs.rounds and ri.finished == ri.rounds
         fam = grid_tradeoff_family(N)
-        rt = partition_tradeoff_election(V[:8], fam, model=CdModel.SENDER_CD)
-        assert rt.rounds <= fam.K * (2 * fam.b + 2), (N, rt.rounds)
+        # and four pairs of ids that share a part of partition 0, which
+        # therefore isolates none of them
+        crowded, alone = [], {}
+        for x, label in enumerate(fam.partitions[0], start=1):
+            if label in alone and len(crowded) < 8:
+                crowded += [alone.pop(label), x]
+            else:
+                alone.setdefault(label, x)
+        assert len(crowded) == 8
+        for U in (V[:8], crowded):
+            h = next(i for i, labels in enumerate(fam.partitions)
+                     if 1 in Counter(labels[v - 1] for v in U).values())
+            for model in (CdModel.SENDER_CD, CdModel.STRONG_CD):
+                rt = partition_tradeoff_election(U, fam, model=model)
+                assert rt.rounds <= fam.K * (2 * fam.b + 2), (N, rt.rounds)
+                assert rt.finished == 2 * fam.b * (h + 1), (N, model, h, rt.finished)
     print("criterion 4: PASS - round counts within closed-form budgets")
 
 

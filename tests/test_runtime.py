@@ -32,6 +32,8 @@ from radioleader.channel import (
 from radioleader.cli import PROGRAMS
 from radioleader.dense import (
     DenseImprovedProgram,
+    DenseSimpleProgram,
+    ExponentialSearchProgram,
     census,
     dense_improved_election,
     dense_simple_election,
@@ -112,6 +114,7 @@ def test_trivial_idle_single_device():
     assert report.strict_success
     assert report.ledger.max_energy == 0
     assert report.rounds == 1
+    assert report.finished == 0  # no event: the device stopped before round 0
     assert report.easy_success is False
 
 
@@ -235,6 +238,7 @@ def test_events_and_serialization_format():
         "2\t2\tT\t3,4\t-\n"
     )
     assert report.easy_success  # round 0 had one transmitter, one listener
+    assert report.finished == 3 == report.rounds
 
 
 def test_serialize_feedback_tags():
@@ -1122,16 +1126,21 @@ def test_transcript_bytes_per_event(name):
 
 
 # (driver call, traced peak bytes per device) for every id of N = 2^12
-# present under no_cd; at the start of a run every device is suspended at
-# once, holding its program's generator, its walk's and, in the improved
-# walk, the census's
+# present, under no_cd (binary search, which does not declare no_cd, under
+# receiver_cd as in the benchmark); at the start of a run every device is
+# suspended at once, holding its program's generator, its walk's and, in
+# the improved walk, the census's
 WALK_PEAK_BYTES = {
     "exponential": (partial(exponential_search_election, range(1, 2**12 + 1),
-                            2**12, CdModel.NO_CD), 1950),
+                            2**12, CdModel.NO_CD), 1555),
     "dense_improved b=4": (partial(dense_improved_election, range(1, 2**12 + 1),
-                                   2**12, 4), 1875),
+                                   2**12, 4), 1530),
     "dense_simple b=4": (partial(dense_simple_election, range(1, 2**12 + 1),
-                                 2**12, 4), 1575),
+                                 2**12, 4), 1270),
+    "pairing": (partial(pairing_election, range(1, 2**12 + 1), 2**12,
+                        CdModel.NO_CD), 1205),
+    "binary_search": (partial(binary_search_election, range(1, 2**12 + 1), 2**12,
+                              CdModel.RECEIVER_CD), 1050),
 }
 
 
@@ -1147,6 +1156,34 @@ def test_full_density_peak_bytes_per_device(name):
         tracemalloc.stop()
     assert report.strict_success
     assert peak / 2**12 <= bound, peak / 2**12
+
+
+# the containers a suspended walk must not hold: a list of visits, or an
+# iterator kept across its yields
+_HELD_CONTAINERS = (list, type(iter([])), type(iter(())), type(iter(range(0))))
+
+
+@pytest.mark.parametrize("cls,b", [(ExponentialSearchProgram, None),
+                                   (DenseImprovedProgram, 4),
+                                   (DenseSimpleProgram, 4)])
+def test_a_waiting_device_holds_only_its_frames(cls, b):
+    # what a device holds at its first offer, times every device of a
+    # full-density run, is that run's peak (test above); gc.get_referents
+    # of a suspended generator lists its frame's locals and value stack
+    config = ProtocolConfig(model=NO, N=2**12, b=b)
+    for dev in (1, 2, 5, 1000, 2**12):
+        gen = top = cls(dev, config).run()  # top keeps the chain alive
+        assert type(top.send(None)) is tuple
+        chain = 0
+        while gen is not None:
+            chain += 1
+            held = [type(o).__name__ for o in gc.get_referents(gen)
+                    if isinstance(o, _HELD_CONTAINERS)]
+            assert held == [], (dev, gen.__name__, held)
+            assert not any(isinstance(v, _HELD_CONTAINERS)
+                           for v in gen.gi_frame.f_locals.values())
+            gen = gen.gi_yieldfrom
+        assert chain == (2 if cls is DenseSimpleProgram else 3)
 
 
 def test_events_view_iterates_and_compares_by_value():
@@ -1226,11 +1263,14 @@ def _drawn_runs(draw):
 @given(run=_drawn_runs())
 def test_executor_shortcuts_match_transcript_checks(run):
     # the executor reads easy success off each slot and tallies energy at
-    # the end; both must agree with the checks that read the transcript
+    # the end, and the report reads the finishing round off the round
+    # column; each must agree with the checks that read the transcript
     cls, ids, config = run
     report = execute(cls, ids, config)
     assert report.easy_success == check_easy_success(report.transcript)
     assert report.ledger.counts == recount(report.transcript)
+    last = max((rnd for rnd, *_ in report.transcript.events), default=-1)
+    assert report.finished == last + 1 <= report.rounds
 
 
 @settings(max_examples=150, deadline=None)

@@ -1169,7 +1169,8 @@ _HELD_CONTAINERS = (list, type(iter([])), type(iter(())), type(iter(range(0))))
 def test_a_waiting_device_holds_only_its_frames(cls, b):
     # what a device holds at its first offer, times every device of a
     # full-density run, is that run's peak (test above); gc.get_referents
-    # of a suspended generator lists its frame's locals and value stack
+    # of a suspended generator lists its frame's locals and value stack,
+    # so an iterator a `for` keeps on the stack shows too
     config = ProtocolConfig(model=NO, N=2**12, b=b)
     for dev in (1, 2, 5, 1000, 2**12):
         gen = top = cls(dev, config).run()  # top keeps the chain alive
@@ -1180,8 +1181,6 @@ def test_a_waiting_device_holds_only_its_frames(cls, b):
             held = [type(o).__name__ for o in gc.get_referents(gen)
                     if isinstance(o, _HELD_CONTAINERS)]
             assert held == [], (dev, gen.__name__, held)
-            assert not any(isinstance(v, _HELD_CONTAINERS)
-                           for v in gen.gi_frame.f_locals.values())
             gen = gen.gi_yieldfrom
         assert chain == (2 if cls is DenseSimpleProgram else 3)
 

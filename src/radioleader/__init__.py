@@ -24,6 +24,7 @@ from .lowerbound import (
     uniqueness_check,
 )
 from .partitions import (
+    InvalidParams,
     PartitionFamily,
     RetriesExhausted,
     balls_in_bins_singleton_prob,
@@ -46,11 +47,9 @@ from .runtime import (
     RunReport,
     Transcript,
     Verdict,
-    execute,
     run_programs,
 )
 from .tradeoff import (
-    InvalidParams,
     choose_params,
     partition_tradeoff_election,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "choose_params",
     "dense_improved_election",
     "dense_simple_election",
-    "execute",
     "exponential_search_election",
     "family_size",
     "generate_family",

@@ -63,7 +63,6 @@ from .runtime import (
     ProtocolConfig,
     RunReport,
     _device_id,
-    execute,
     run_programs,
 )
 
@@ -169,8 +168,8 @@ def census(lo: int, hi: int, present) -> Tuple[int, ...]:
     shifted = tuple(i - lo + 1 for i in ids)
     config = ProtocolConfig(model=CdModel.NO_CD, N=hi - lo + 1)
     _, programs = run_programs(_CensusProgram, shifted, config)
-    for index, dev in enumerate(shifted, start=1):
-        if programs[dev].view != (shifted, index, len(shifted)):
+    for index, (dev, program) in enumerate(zip(shifted, programs), start=1):
+        if program.view != (shifted, index, len(shifted)):
             raise AssertionError(f"census views disagree for device {dev + lo - 1}")
     return ids
 
@@ -326,13 +325,15 @@ class DenseImprovedProgram(_DenseProgram):
 def dense_simple_election(
     devices, N: int, b: int, model: CdModel = CdModel.NO_CD
 ) -> RunReport:
-    return execute(DenseSimpleProgram, devices, ProtocolConfig(model=model, N=N, b=b))
+    config = ProtocolConfig(model=model, N=N, b=b)
+    return run_programs(DenseSimpleProgram, devices, config)[0]
 
 
 def dense_improved_election(
     devices, N: int, b: int, model: CdModel = CdModel.NO_CD
 ) -> RunReport:
-    return execute(DenseImprovedProgram, devices, ProtocolConfig(model=model, N=N, b=b))
+    config = ProtocolConfig(model=model, N=N, b=b)
+    return run_programs(DenseImprovedProgram, devices, config)[0]
 
 
 def choose_dense_b(N: int, n: int) -> int:
@@ -467,6 +468,6 @@ def _attempt_summaries(report: RunReport) -> Tuple[AttemptSummary, ...]:
 
 def exponential_search_election(devices, N: int, model: CdModel) -> RunReport:
     config = ProtocolConfig(model=model, N=N)
-    report = execute(ExponentialSearchProgram, devices, config)
+    report = run_programs(ExponentialSearchProgram, devices, config)[0]
     report.attempts = _attempt_summaries(report)
     return report

@@ -71,6 +71,10 @@ class RetriesExhausted(RuntimeError):
     """No good family found within the retry budget."""
 
 
+class InvalidParams(ValueError):
+    """Parameter combination outside the trade-off's domain."""
+
+
 def splitmix64_at(seed: int, position: int) -> int:
     """The position-th value of the splitmix64 stream started at seed."""
     z = (seed + (position + 1) * _GAMMA) & _MASK64
@@ -243,7 +247,9 @@ def generate_family(
     """Draw and verify a good family; Las Vegas with seed+1 retries.
 
     The returned family records the seed that actually produced it.  Raises
-    RetriesExhausted when max_retries consecutive draws fail verification."""
+    InvalidParams, before any draw, when K * N labels exceed LABEL_BUDGET,
+    and RetriesExhausted when max_retries consecutive draws fail
+    verification."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > b ** (1.0 - epsilon_tilde) + 1e-9:
@@ -251,6 +257,9 @@ def generate_family(
             f"n_max={n_max} exceeds b^(1-epsilon_tilde)={b ** (1.0 - epsilon_tilde):.3f}"
         )
     K = family_size(N, b, epsilon_tilde)
+    if K * N > LABEL_BUDGET:
+        raise InvalidParams(f"a seeded family for N={N}, b={b} would draw more than "
+                            f"{LABEL_BUDGET:,} labels (ROADMAP item 11)")
     for attempt in range(max_retries):
         attempt_seed = seed + attempt
         family = PartitionFamily(

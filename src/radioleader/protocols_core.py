@@ -37,8 +37,7 @@ from .runtime import (
     DeviceProgram,
     ProtocolConfig,
     RunReport,
-    execute,
-    run_programs,  # noqa: F401  (kept importable here: perfbench counts this copy)
+    run_programs,
 )
 
 DUMMY = 0
@@ -202,12 +201,12 @@ class HalvingTradeoffProgram(DeviceProgram):
 
 def pairing_election(devices, N: int, model: CdModel = CdModel.NO_CD) -> RunReport:
     config = ProtocolConfig(model=model, N=N)
-    return execute(PairingElectionProgram, devices, config)
+    return run_programs(PairingElectionProgram, devices, config)[0]
 
 
 def binary_search_election(devices, N: int, model: CdModel) -> RunReport:
     config = ProtocolConfig(model=model, N=N)
-    return execute(BinarySearchElectionProgram, devices, config)
+    return run_programs(BinarySearchElectionProgram, devices, config)[0]
 
 
 def halving_tradeoff_election(
@@ -217,5 +216,5 @@ def halving_tradeoff_election(
     model: CdModel = CdModel.STRONG_CD,
 ) -> RunReport:
     config = ProtocolConfig(model=model, N=N, k=k)
-    return execute(HalvingTradeoffProgram, devices, config)
+    return run_programs(HalvingTradeoffProgram, devices, config)[0]
 

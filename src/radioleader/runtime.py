@@ -95,11 +95,13 @@ start a young collection that walks everything the run built and still
 holds.  A full collection still finds any cycle among the promoted
 objects.  When the caller has frozen objects of its own
 (`gc.get_freeze_count()` is nonzero) the promotion is skipped, since
-`unfreeze` would release them too.  A Verdict is built
-like channel's slot objects, without the dataclass __init__, and a
-program's outcome fields (won, rank, leader_id) are class-level defaults
-that a device shadows only once it sets them.  A device that neither won
-nor holds a rank, as most devices of a run, gets one shared Verdict(False).
+`unfreeze` would release them too.  A program's outcome fields (won,
+rank, leader_id) are class-level defaults that a device shadows only once
+it sets them.  A device that neither won nor holds a rank, as most devices
+of a run, gets one shared Verdict(False).
+
+`run_programs` is the one way to run a program.  It returns the report
+and the list of programs it ran, in `device_ids` order.
 
 Energy is the number of non-idle slots per device; idling is free.  It is
 tallied once the run ends, by one `np.bincount` of the device column.
@@ -196,10 +198,6 @@ class Verdict:
     rank: Optional[int] = None
 
 
-# a Verdict is built without its generated __init__ (module docstring)
-_new = object.__new__
-_verdict_is_leader = Verdict.__dict__["is_leader"].__set__
-_verdict_rank = Verdict.__dict__["rank"].__set__
 _NO_VERDICT = Verdict(False)  # shared by every device that neither won nor ranks
 
 
@@ -229,10 +227,7 @@ class DeviceProgram:
     def finish(self) -> Verdict:
         if not self.won and self.rank is None:
             return _NO_VERDICT
-        verdict = _new(Verdict)
-        _verdict_is_leader(verdict, self.won)
-        _verdict_rank(verdict, self.rank)
-        return verdict
+        return Verdict(self.won, self.rank)
 
     # Shared final slot: the winner transmits its id, everyone else listens.
     # Returns whether this device now knows the leader.
@@ -441,8 +436,7 @@ class Events:
     """A transcript's events, read by iterating: each is decoded from the
     columns into a (round, device, Action, Feedback) tuple.  The tuples
     equal the recorded ones; the Action and Feedback objects are rebuilt,
-    or the shared constants.  `len` reads one column, and the view equals
-    a list or tuple of the same events."""
+    or the shared constants.  `len` reads one column."""
 
     __slots__ = ("_t",)
 
@@ -451,11 +445,6 @@ class Events:
 
     def __len__(self) -> int:
         return len(self._t.event_codes)
-
-    def __eq__(self, other):
-        if not isinstance(other, (Events, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
 
     def __iter__(self) -> Iterator[Event]:
         t = self._t
@@ -565,12 +554,10 @@ def run_programs(
     factory: type[DeviceProgram],
     devices: Iterable[int],
     config: ProtocolConfig,
-) -> Tuple[RunReport, Dict[int, DeviceProgram]]:
-    """Execute one run and also hand back the program objects.
-
-    The program objects let phase-level drivers read protocol state that a
-    Verdict does not carry (survivor sets, census views, ...).
-    """
+) -> Tuple[RunReport, List[DeviceProgram]]:
+    """Execute one run: its report, and the program objects in
+    `device_ids` order, from which a driver reads protocol state that a
+    Verdict does not carry (survivor sets, census views, ...)."""
     ids = sorted({d if type(d) is int else _device_id(d) for d in devices})
     if not ids:
         raise ValueError("device set must be nonempty")
@@ -685,13 +672,4 @@ def run_programs(
             rounds=total_rounds,
             transcript=transcript,
         )
-    return report, dict(zip(ids, programs))
-
-
-def execute(
-    factory: type[DeviceProgram],
-    devices: Iterable[int],
-    config: ProtocolConfig,
-) -> RunReport:
-    """Run a protocol once and return its report."""
-    return run_programs(factory, devices, config)[0]
+    return report, programs

@@ -23,19 +23,14 @@ from __future__ import annotations
 from typing import Optional
 
 from .channel import CdModel, transmit
-from .partitions import LABEL_BUDGET, PartitionFamily, family_size, generate_family
+from .partitions import InvalidParams, PartitionFamily, generate_family
 from .protocols_core import ceil_log2, pairing_tournament_phase
 from .runtime import (
     DeviceProgram,
     ProtocolConfig,
     RunReport,
-    execute,
-    run_programs,  # noqa: F401  (kept importable here: perfbench wraps this copy)
+    run_programs,
 )
-
-
-class InvalidParams(ValueError):
-    """Parameter combination outside the trade-off's domain."""
 
 
 def choose_params(
@@ -82,9 +77,6 @@ def choose_params(
         raise InvalidParams(f"k={k} needs more than 2^62 parts for N of {bits} bits")
 
     if family is None:
-        if family_size(N, b, epsilon) * N > LABEL_BUDGET:
-            raise InvalidParams(f"a seeded family for N={N}, b={b} would draw more than "
-                                f"{LABEL_BUDGET:,} labels (ROADMAP item 11)")
         family = generate_family(
             N,
             b,
@@ -145,5 +137,5 @@ def partition_tradeoff_election(
             f"the family only covers subsets up to n_max={family.n_max}, got {len(ids)}"
         )
     config = ProtocolConfig(model=model, N=family.N, family=family)
-    return execute(PartitionTradeoffProgram, ids, config)
+    return run_programs(PartitionTradeoffProgram, ids, config)[0]
 

@@ -44,7 +44,7 @@ from radioleader.protocols_core import (
     halving_tradeoff_election,
     pairing_election,
 )
-from radioleader.runtime import ProtocolConfig, execute
+from radioleader.runtime import ProtocolConfig, run_programs
 from radioleader.tradeoff import (
     PartitionTradeoffProgram,
     choose_params,
@@ -264,7 +264,7 @@ def test_criterion_7_sequence_level_checks():
     broken_cfg = ProtocolConfig(model=CdModel.STRONG_CD, N=8)
     viol = uniqueness_check(IdObliviousProgram, broken_cfg)
     assert viol is not None
-    rep = execute(IdObliviousProgram, [viol.id_a, viol.id_b], broken_cfg)
+    rep = run_programs(IdObliviousProgram, [viol.id_a, viol.id_b], broken_cfg)[0]
     assert not rep.easy_success
 
     # counting inequality N <= sum_{i<=k} C(t,i) 2^i on measured (t, k)
@@ -345,8 +345,8 @@ def test_criterion_9_reproducibility(tmp_path, capsys):
 
     V = random.Random(3).sample(range(1, 65), 9)
     cfg = ProtocolConfig(model=CdModel.NO_CD, N=64)
-    h1 = execute(PairingElectionProgram, V, cfg).transcript_hash
-    h2 = execute(PairingElectionProgram, V, cfg).transcript_hash
+    h1 = run_programs(PairingElectionProgram, V, cfg)[0].transcript_hash
+    h2 = run_programs(PairingElectionProgram, V, cfg)[0].transcript_hash
     assert h1 == h2
     print("criterion 9: PASS - byte-identical reruns, stable transcript hashes")
 

@@ -26,7 +26,6 @@ from radioleader.runtime import (
     DeviceProgram,
     ProtocolConfig,
     Verdict,
-    execute,
     run_programs,
 )
 
@@ -183,9 +182,10 @@ def test_census_phase_matches_reference_walk():
                 for walk in (ref_census_phase, census_phase)
             ]
             (want, want_progs), (got, got_progs) = runs
-            assert got.transcript.events == want.transcript.events, (width, present)
-            assert {d: p.view for d, p in got_progs.items()} == {
-                d: p.view for d, p in want_progs.items()
+            assert list(got.transcript.events) == list(want.transcript.events), (
+                width, present)
+            assert {d: p.view for d, p in zip(got.device_ids, got_progs)} == {
+                d: p.view for d, p in zip(want.device_ids, want_progs)
             }
 
 
@@ -324,7 +324,7 @@ def test_choose_dense_b():
 def test_replay_check():
     config = ProtocolConfig(model=NO, N=8, b=2)
     for cls in (DenseSimpleProgram, DenseImprovedProgram):
-        runs = [execute(cls, [2, 3, 5], config) for _ in range(2)]
+        runs = [run_programs(cls, [2, 3, 5], config)[0] for _ in range(2)]
         assert runs[0].transcript == runs[1].transcript
 
 
@@ -517,5 +517,6 @@ def test_sender_side_census_memory_tracks_devices_not_width():
 
 def test_exponential_replay():
     config = ProtocolConfig(model=SE, N=16)
-    runs = [execute(ExponentialSearchProgram, [3, 11, 12], config) for _ in range(2)]
+    runs = [run_programs(ExponentialSearchProgram, [3, 11, 12], config)[0]
+            for _ in range(2)]
     assert runs[0].transcript == runs[1].transcript

@@ -6,9 +6,10 @@ only its tests read.
 No linter ships with the project, so this walks each module's syntax tree
 instead: an import whose name never appears as an identifier in the same
 module fails, unless its line carries ``# noqa: F401`` (a name kept only
-so that other code can import it from there).  The package `__init__`
-re-exports by design and is not checked.  The benchmark's modules under
-`perfbench/` are not checked either.
+so that other code can import it from there).  The package itself carries
+no ``# noqa`` at all, so it keeps no import that only other code reads.
+The package `__init__` re-exports by design and is not checked.  The
+benchmark's modules under `perfbench/` are not checked either.
 
 A walk that names each call's enclosing function finds every call of
 `gc.disable`, `gc.enable`, `gc.freeze` and `gc.unfreeze` (and every `from
@@ -256,6 +257,13 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_carries_no_noqa():
+    found = [(path.name, number) for path in sorted(PACKAGE.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "noqa" in line]
+    assert found == []
 
 
 def test_all_lists_exactly_the_public_names():

@@ -20,7 +20,7 @@ from radioleader.protocols_core import (
     PairingElectionProgram,
     ceil_log2,
 )
-from radioleader.runtime import DeviceProgram, ProtocolConfig, Verdict, execute
+from radioleader.runtime import DeviceProgram, ProtocolConfig, Verdict, run_programs
 
 ST = CdModel.STRONG_CD
 
@@ -117,7 +117,7 @@ def test_uniqueness_flags_id_oblivious_program():
     assert violation == ViolationPair(1, 2, "TTTT")
     # running exactly that pair keeps them in lockstep: nobody is ever the
     # only transmitter, so the easier success criterion fails
-    report = execute(IdObliviousProgram, [1, 2], cfg(4))
+    report = run_programs(IdObliviousProgram, [1, 2], cfg(4))[0]
     assert not report.easy_success
 
 

@@ -1,11 +1,16 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radioleader
+from radioleader import partitions, tradeoff
 from radioleader.partitions import (
+    LABEL_BUDGET,
+    InvalidParams,
     PartitionFamily,
     RetriesExhausted,
     _draw_partitions,
@@ -141,6 +146,17 @@ def test_generate_family_is_reproducible():
     b = generate_family(32, 4, 0.5, n_max=2, seed=9)
     assert dump_family(a) == dump_family(b)
     assert a.partitions == b.partitions
+
+
+def test_generate_family_refuses_a_draw_over_the_label_budget(monkeypatch):
+    # K * N = 54 * 2^20 labels, over the 2^25 budget: refused before any draw
+    assert family_size(2**20, 64, 0.5) * 2**20 > LABEL_BUDGET
+    monkeypatch.setattr(partitions, "_draw_partitions", None)
+    start = time.perf_counter()
+    with pytest.raises(InvalidParams, match="ROADMAP item 11"):
+        generate_family(2**20, 64, 0.5, n_max=2)
+    assert time.perf_counter() - start < 1
+    assert tradeoff.InvalidParams is radioleader.InvalidParams is InvalidParams
 
 
 def test_generate_family_retry_exhaustion(monkeypatch):

@@ -82,7 +82,8 @@ def pairing_reduce_once(devices, N):
     config = ProtocolConfig(model=CdModel.NO_CD, N=N)
     report, programs = run_programs(PairingReduceProgram, devices, config)
     survivors = {
-        dev: prog.new_id for dev, prog in programs.items() if prog.survived
+        dev: prog.new_id
+        for dev, prog in zip(report.device_ids, programs) if prog.survived
     }
     return survivors, report
 

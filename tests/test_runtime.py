@@ -58,7 +58,6 @@ from radioleader.runtime import (
     _BATCH,
     _CHUNK,
     _fnv1a_streams,
-    execute,
     run_programs,
     transcript_hashes,
 )
@@ -110,7 +109,7 @@ def cfg(N, model=NO, **kw):
 
 def test_trivial_idle_single_device():
     prog = make_script({}, winners={1}, length=1)
-    report = execute(prog, [1], cfg(1))
+    report = run_programs(prog, [1], cfg(1))[0]
     assert report.strict_success
     assert report.ledger.max_energy == 0
     assert report.rounds == 1
@@ -122,9 +121,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(model=NO, N=0)
     with pytest.raises(ValueError):
-        execute(make_script({}), [], cfg(4))
+        run_programs(make_script({}), [], cfg(4))
     with pytest.raises(ValueError):
-        execute(make_script({}), [5], cfg(4))
+        run_programs(make_script({}), [5], cfg(4))
 
 
 # Each malformed offer, made from the previous round of its device, with
@@ -156,7 +155,7 @@ def test_every_bad_offer_is_rejected(case, first):
               3: [make_offer(prev)] if first else [(1, LISTEN), make_offer(prev)]}
     with pytest.raises(ScheduleOverrun,
                        match="device 3 " + message.format(prev=prev)):
-        execute(make_script(script), [2, 3], cfg(4))
+        run_programs(make_script(script), [2, 3], cfg(4))
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "later"])
@@ -189,7 +188,7 @@ def test_action_refuses_a_bad_kind_or_payload(kind, payload, message):
 def test_device_ids_must_be_integers(bad):
     with pytest.raises(ValueError,
                        match=f"device ids must be integers, not {re.escape(repr(bad))}"):
-        execute(make_script({}), [bad, 2], cfg(4))
+        run_programs(make_script({}), [bad, 2], cfg(4))
 
 
 class Index:
@@ -202,9 +201,9 @@ class Index:
 
 def test_integer_like_device_ids_run_as_ints():
     prog = make_script({1: [(0, transmit(1))], 2: [(0, LISTEN)]}, winners={1})
-    plain = execute(prog, [1, 2], cfg(4))
+    plain = run_programs(prog, [1, 2], cfg(4))[0]
     for ids in ([np.int64(2), 1], [Index(1), Index(2)]):
-        report = execute(prog, ids, cfg(4))
+        report = run_programs(prog, ids, cfg(4))[0]
         assert report.device_ids == (1, 2)
         assert all(type(dev) is int for dev in report.device_ids)
         assert report.transcript_hash == plain.transcript_hash
@@ -212,10 +211,10 @@ def test_integer_like_device_ids_run_as_ints():
 
 def test_replay_check_passes_for_pure_programs():
     prog = make_script({1: [(0, Action("transmit", 1))]}, winners={1})
-    report = execute(prog, [1], cfg(4))
+    report = run_programs(prog, [1], cfg(4))[0]
     assert report.strict_success
     # a device iterable is read once, and a second run records the same events
-    again = execute(prog, iter([1]), cfg(4))
+    again = run_programs(prog, iter([1]), cfg(4))[0]
     assert again.strict_success and again.transcript == report.transcript
 
 
@@ -228,7 +227,7 @@ def test_events_and_serialization_format():
         winners={1},
         length=3,
     )
-    report = execute(prog, [1, 2], cfg(4))
+    report = run_programs(prog, [1, 2], cfg(4))[0]
     text = report.transcript.serialize()
     # no_cd: transmitters learn nothing ('-'); listeners get the payload
     assert text == (
@@ -249,7 +248,7 @@ def test_serialize_feedback_tags():
         },
         length=2,
     )
-    report = execute(prog, [1, 2], cfg(2, model=CdModel.STRONG_CD))
+    report = run_programs(prog, [1, 2], cfg(2, model=CdModel.STRONG_CD))[0]
     lines = report.transcript.serialize().splitlines()
     assert lines[0] == "0\t1\tT\t1\tC"  # collision on the sender side
     assert lines[2] == "1\t1\tL\t-\tS"  # silent listen
@@ -266,7 +265,7 @@ def test_transcript_events_re_resolve():
         length=2,
     )
     for model in CdModel:
-        report = execute(prog, [1, 2, 3], cfg(3, model=model))
+        report = run_programs(prog, [1, 2, 3], cfg(3, model=model))[0]
         by_round = {}
         for rnd, dev, action, fb in report.transcript.events:
             by_round.setdefault(rnd, {})[dev] = (action, fb)
@@ -286,7 +285,7 @@ def test_ledger_matches_independent_recount():
         },
         length=4,
     )
-    report = execute(prog, [1, 2], cfg(4))
+    report = run_programs(prog, [1, 2], cfg(4))[0]
     assert recount(report.transcript) == report.ledger.counts == {1: 2, 2: 1}
     assert report.ledger.max_energy == 2
 
@@ -294,9 +293,9 @@ def test_ledger_matches_independent_recount():
 def test_hash_is_stable_and_input_sensitive():
     base = make_script({1: [(0, Action("transmit", 1))]}, length=2)
     other = make_script({1: [(1, Action("transmit", 1))]}, length=2)
-    h1 = execute(base, [1], cfg(4)).transcript_hash
-    h2 = execute(base, [1], cfg(4)).transcript_hash
-    h3 = execute(other, [1], cfg(4)).transcript_hash
+    h1 = run_programs(base, [1], cfg(4))[0].transcript_hash
+    h2 = run_programs(base, [1], cfg(4))[0].transcript_hash
+    h3 = run_programs(other, [1], cfg(4))[0].transcript_hash
     assert h1 == h2
     assert h1 != h3  # different round -> different fold
     assert 0 <= h1 < 1 << 64
@@ -317,8 +316,8 @@ def test_order_independence_of_device_listing():
         },
         winners={3},
     )
-    a = execute(prog, [1, 2, 3], cfg(4))
-    b = execute(prog, [3, 1, 2], cfg(4))
+    a = run_programs(prog, [1, 2, 3], cfg(4))[0]
+    b = run_programs(prog, [3, 1, 2], cfg(4))[0]
     assert a.transcript_hash == b.transcript_hash
     assert a.verdicts == b.verdicts
 
@@ -351,7 +350,7 @@ def test_success_checkers():
     one_tx_one_listen = make_script(
         {1: [(0, Action("transmit", 1))], 2: [(0, Action("listen"))]}
     )
-    report = execute(one_tx_one_listen, [1, 2], cfg(2))
+    report = run_programs(one_tx_one_listen, [1, 2], cfg(2))[0]
     assert report.easy_success
     assert check_easy_success(report.transcript)
 
@@ -372,16 +371,19 @@ def test_two_simultaneous_transmitters_is_not_easy():
             3: [(0, Action("listen"))],
         }
     )
-    report = execute(prog, [1, 2, 3], cfg(3))
+    report = run_programs(prog, [1, 2, 3], cfg(3))[0]
     assert not report.easy_success
 
 
 def test_run_programs_returns_program_objects():
     prog = make_script({1: [(0, Action("transmit", 1))]}, winners={1})
     report, programs = run_programs(prog, [1], cfg(4))
-    assert set(programs) == {1}
-    assert programs[1].device_id == 1
+    assert [type(p) for p in programs] == [prog]
+    assert programs[0].device_id == 1
     assert report.leader == 1
+    # one program per device, in device_ids order
+    report, programs = run_programs(make_script({}), [3, 1, 2], cfg(4))
+    assert [p.device_id for p in programs] == list(report.device_ids) == [1, 2, 3]
 
 
 def test_run_programs_rejects_a_model_the_program_does_not_declare():
@@ -418,11 +420,11 @@ def test_program_class_is_the_whole_declaration(cls):
     if cls is DeviceProgram:
         return  # the abstract base declares no schedule
     # without k, b or family, or with b = 0, a run goes through or its
-    # schedule_length refuses it with ValueError; execute and the sequence
+    # schedule_length refuses it with ValueError; run_programs and the sequence
     # checkers both ask for the schedule before any slot
     for config in (ProtocolConfig(model=cls.models[-1], N=8),
                    ProtocolConfig(model=cls.models[-1], N=8, b=0)):
-        for run in (partial(execute, cls, [3, 5]),
+        for run in (partial(run_programs, cls, [3, 5]),
                     partial(canonical_sequence, cls, 3)):
             try:
                 run(config)
@@ -547,16 +549,16 @@ GARBAGE_RUNS = dict(_garbage_runs())
 
 @pytest.mark.parametrize("name", GARBAGE_RUNS)
 def test_runs_build_no_slot_object_through_its_init(name, monkeypatch):
-    # transmit, received and DeviceProgram.finish skip the generated
-    # __init__ of the frozen dataclasses, and the constant slot objects are
-    # built once at import, so a run calls none of these __init__s
+    # transmit and received skip the generated __init__ of the frozen
+    # dataclasses, and the constant slot objects are built once at import,
+    # so a run calls neither __init__
     calls = []
-    for cls in (Action, Feedback, Verdict):
+    for cls in (Action, Feedback):
         def counted(self, *args, _init=cls.__init__, **kwargs):
             calls.append(type(self).__name__)
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
-    assert Verdict(True).is_leader and calls == ["Verdict"]
+    assert Feedback("silence").kind == "silence" and calls == ["Feedback"]
     calls.clear()
     GARBAGE_RUNS[name]()
     assert calls == []
@@ -585,7 +587,7 @@ def test_dense_walk_verdicts_match_dataclass_built_ones():
     report, programs = run_programs(DenseImprovedProgram, ids,
                                     cfg(64, b=8))
     built = {dev: Verdict(is_leader=prog.won, rank=prog.rank)
-             for dev, prog in programs.items()}
+             for dev, prog in zip(report.device_ids, programs)}
     assert report.verdicts == built
     ranks = [v.rank for v in built.values()]
     assert report.strict_success and None in ranks and 2 in ranks
@@ -703,7 +705,7 @@ def test_scheduler_matches_reference_order(plan, model):
     config = cfg(8, model)
     report, _ = run_programs(prog, plan, config)
     events, counts, easy, verdicts = reference_schedule(prog, plan, config)
-    assert report.transcript.events == events
+    assert list(report.transcript.events) == events
     assert report.ledger.counts == counts
     assert report.easy_success == easy
     assert report.verdicts == verdicts
@@ -720,7 +722,7 @@ def test_a_lone_device_runs_ahead_without_the_schedule(monkeypatch):
                         lambda *args: calls.append("resolve") or resolve(*args))
     slots = [(rnd, transmit(3) if rnd % 3 else LISTEN) for rnd in range(0, 20, 2)]
     for model in CdModel:
-        report = execute(make_script({3: slots}, length=20), [3], cfg(4, model))
+        report = run_programs(make_script({3: slots}, length=20), [3], cfg(4, model))[0]
         assert len(report.transcript.events) == len(slots)
     assert calls == []
 
@@ -744,9 +746,9 @@ def test_resolve_slot_sees_only_shared_slots(monkeypatch):
             config = ProtocolConfig(model=model, N=N, k=2, b=4, family=family)
             for n in (1, 2, 5, 12, N):
                 ids = rng.sample(range(1, N + 1), n)
-                report = execute(cls, ids, config)
+                report = run_programs(cls, ids, config)[0]
                 events, _, _, verdicts = reference_schedule(cls, ids, config)
-                assert report.transcript.events == events
+                assert list(report.transcript.events) == events
                 assert report.verdicts == verdicts
     assert min(sizes) >= 2
     # some popped rounds held one offer and were not resolved
@@ -967,7 +969,7 @@ def transcript_of(events, **frame):
         t.event_rounds.append(rnd)
         t.event_devices.append(t.device_ids.index(dev))
         t.event_codes.append(code)
-    assert t.events == events
+    assert list(t.events) == events
     return t
 
 
@@ -1026,8 +1028,8 @@ def test_hashing_happens_only_when_asked(monkeypatch):
     assert len(folds) == 1
 
     folds.clear()
-    runs = [execute(BinarySearchElectionProgram, [2, 5],
-                    ProtocolConfig(CdModel.STRONG_CD, 8)) for _ in range(2)]
+    runs = [run_programs(BinarySearchElectionProgram, [2, 5],
+                         ProtocolConfig(CdModel.STRONG_CD, 8))[0] for _ in range(2)]
     assert runs[0].transcript == runs[1].transcript
     assert folds == []  # comparing transcripts compares columns, not hashes
     assert runs[0].transcript_hash == runs[0].transcript.hash64()
@@ -1194,12 +1196,14 @@ def test_events_view_iterates_and_compares_by_value():
         },
         length=3,
     )
-    t = execute(prog, [1, 2, 3], cfg(4, model=CdModel.STRONG_CD)).transcript
+    t = run_programs(prog, [1, 2, 3], cfg(4, model=CdModel.STRONG_CD))[0].transcript
     events = list(t.events)
     assert len(t.events) == len(events) == 6
-    assert t.events == events and events == t.events and t.events == t.events
-    assert t.events == tuple(events) and tuple(events) == t.events
-    assert t.events != events[:-1] and t.events != 5 and t.events != "abc"
+    assert list(t.events) == events and events == list(t.events)
+    assert list(t.events) == list(t.events)  # each pass rebuilds equal tuples
+    assert tuple(t.events) == tuple(events) and tuple(events) == tuple(t.events)
+    assert list(t.events) != events[:-1]
+    assert list(t.events) != 5 and list(t.events) != "abc"
     assert events[0] == (0, 1, transmit(7), Feedback("received", 7))
     assert events[3] == (2, 1, Action("listen"), Feedback("collision"))
     assert events[5] == (2, 3, transmit(6), Feedback("collision"))
@@ -1265,7 +1269,7 @@ def test_executor_shortcuts_match_transcript_checks(run):
     # the end, and the report reads the finishing round off the round
     # column; each must agree with the checks that read the transcript
     cls, ids, config = run
-    report = execute(cls, ids, config)
+    report = run_programs(cls, ids, config)[0]
     assert report.easy_success == check_easy_success(report.transcript)
     assert report.ledger.counts == recount(report.transcript)
     last = max((rnd for rnd, *_ in report.transcript.events), default=-1)
@@ -1278,9 +1282,9 @@ def test_every_protocol_matches_the_reference_engine(run):
     # the real programs, in every model they declare, through the
     # round-by-round engine: same events, energy, easy success and verdicts
     cls, ids, config = run
-    report = execute(cls, ids, config)
+    report = run_programs(cls, ids, config)[0]
     events, counts, easy, verdicts = reference_schedule(cls, ids, config)
-    assert report.transcript.events == events
+    assert list(report.transcript.events) == events
     assert report.ledger.counts == counts
     assert report.easy_success == easy
     assert report.verdicts == verdicts

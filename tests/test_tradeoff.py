@@ -14,7 +14,7 @@ from radioleader.partitions import (
     generate_family,
 )
 from radioleader.protocols_core import ceil_log2, pairing_level_len
-from radioleader.runtime import ProtocolConfig, execute
+from radioleader.runtime import ProtocolConfig, run_programs
 from radioleader.tradeoff import (
     InvalidParams,
     PartitionTradeoffProgram,
@@ -142,7 +142,7 @@ def chosen_b(N, n, k, epsilon):
 
 def test_one_bisection_picks_the_two_step_b(monkeypatch):
     # no family is drawn: the stub hands back the (N, b) it was asked for
-    monkeypatch.setattr(tradeoff, "LABEL_BUDGET", float("inf"))
+    monkeypatch.setattr(partitions, "LABEL_BUDGET", float("inf"))
     monkeypatch.setattr(tradeoff, "generate_family",
                         lambda N, b, *args, **kwargs: SimpleNamespace(N=N, b=b))
     rng = random.Random(34)
@@ -240,7 +240,7 @@ def test_bad_family_reports_no_leader():
 
 def test_replay_check_passes():
     config = ProtocolConfig(model=SE, N=16, family=small_family())
-    runs = [execute(PartitionTradeoffProgram, [4, 9], config) for _ in range(2)]
+    runs = [run_programs(PartitionTradeoffProgram, [4, 9], config)[0] for _ in range(2)]
     assert runs[0].transcript == runs[1].transcript
 
 
